@@ -5,17 +5,28 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+GOLDEN = Path(__file__).parent / "data" / "kernels_golden.txt"
+
 DRIVER = r"""
+import itertools
+import random
 import sys
 
 from rainbowfree._accel import USING_NUMBA
-from rainbowfree.canon import canonical_form
+from rainbowfree.canon import canonical_form, canonical_relabeling, is_canonical
 from rainbowfree.certifier import certify, render_report
-from rainbowfree.constructions import doubled_nine, t_star
-from rainbowfree.family import MULTISET, family_from_triangles, serialize_family
+from rainbowfree.constructions import doubled_nine, pair_family, t_star
+from rainbowfree.family import (
+    MULTISET,
+    SET,
+    TriangleFamily,
+    family_from_triangles,
+    serialize_family,
+)
 from rainbowfree.rainbow import find_rainbow, render_certificate, shared_edge_count
 from rainbowfree.search import enumerate_extremal, extend_ok, max_family, prove_size
 
@@ -46,6 +57,28 @@ out.append(
 
 g = family_from_triangles(5, [(0, 1, 2), (0, 3, 4)])
 out.append(f"extend {extend_ok(g, (1, 3, 4))} {extend_ok(g, (0, 1, 3))}")
+
+# labeling DFS: forms, relabeling maps and canonicity verdicts, pinned
+# byte for byte by the golden file
+rng = random.Random(20221)
+for i in range(50):
+    n = rng.randint(5, 8)
+    tris = rng.sample(list(itertools.combinations(range(n), 3)), rng.randint(1, 7))
+    mode = MULTISET if i % 2 else SET
+    members = tuple(sorted((t, rng.randint(1, 2) if mode == MULTISET else 1) for t in tris))
+    rf = TriangleFamily(n, members, mode)
+    mapping, image = canonical_relabeling(rf)
+    out.append(
+        f"rand{i} {canonical_form(rf).hex()} map "
+        + ",".join(str(mapping[v]) for v in range(n))
+        + f" canon {is_canonical(rf)} {is_canonical(image)}"
+    )
+pf = pair_family(10, 3, 4)
+out.append(f"cf-p10-3-4 {canonical_form(pf).hex()} canon {is_canonical(pf)}")
+r8 = max_family(8)
+out.append(f"max8 {r8.best_size} nodes {r8.nodes_explored}")
+for w in r8.witnesses:
+    out.append("wit8 " + serialize_family(w).replace("\n", "|"))
 
 sys.stdout.write("\n".join(out) + "\n")
 """
@@ -98,6 +131,13 @@ def test_lanes_agree_everywhere(lane_outputs):
     b = python_out.splitlines()[1:]
     assert a == b
     assert len(a) > 10  # the driver exercised every module
+
+
+def test_python_lane_matches_golden(lane_outputs):
+    # recorded from the pure-Python lane; regenerate only when an output
+    # change is intended, by running DRIVER with RAINBOWFREE_NO_NUMBA=1
+    _, python_out = lane_outputs
+    assert python_out == GOLDEN.read_text()
 
 
 def test_flag_parsing_accepts_variants(tmp_path):
