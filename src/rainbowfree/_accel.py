@@ -3,7 +3,9 @@
 Set RAINBOWFREE_NO_NUMBA=1 to force the pure-Python fallback; the same
 source then runs uncompiled, so both paths share one implementation.
 USING_NUMBA reports which path is active.  All kernels work on int64
-numpy arrays and plain ints, with vertices < 64.
+numpy arrays and plain ints.  Packed values use a radix derived from n
+(the rainbow scan packs triples with radix n, the labeling DFS packs
+member codes with radix n + 2), so no kernel caps the vertex count.
 
 Rainbow test used throughout: a vertex triple is rainbow iff its three
 edges exist and admit a system of distinct representatives among owner
@@ -63,6 +65,21 @@ def build_pool(n: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
 
 
 @_jit
+def add_member(cnt, tri_mult, idx, a, b, c, m):
+    """Add m copies of member (a, b, c), pool rank idx, to the owner counts.
+
+    A negative m removes copies.
+    """
+    cnt[a, b] += m
+    cnt[b, a] += m
+    cnt[a, c] += m
+    cnt[c, a] += m
+    cnt[b, c] += m
+    cnt[c, b] += m
+    tri_mult[idx] += m
+
+
+@_jit
 def _hall3(c1, c2, c3, cm):
     # SDR over the three edge slots of a triple, by counting (see module doc)
     if c1 < 1 or c2 < 1 or c3 < 1:
@@ -80,7 +97,7 @@ def _hall3(c1, c2, c3, cm):
 
 @_jit
 def rainbow_triple_scan(cnt, tri_mult, tri_index, n):
-    """First rainbow triple in lexicographic order, packed x*4096+y*64+z.
+    """First rainbow triple in lexicographic order, packed (x*n+y)*n+z.
 
     cnt is the symmetric edge owner-count matrix, tri_mult the per-pool
     member multiplicities.  Returns -1 when the family is rainbow-free.
@@ -94,7 +111,7 @@ def rainbow_triple_scan(cnt, tri_mult, tri_index, n):
                     continue
                 cm = tri_mult[tri_index[x, y, z]]
                 if _hall3(cnt[x, y], cnt[x, z], cnt[y, z], cm) == 1:
-                    return x * 4096 + y * 64 + z
+                    return (x * n + y) * n + z
     return -1
 
 
@@ -166,27 +183,29 @@ def list_extensions(cnt, tri_mult, tri_index, n, pool_a, pool_b, pool_c, start, 
 
 
 @_jit
-def is_min_labeled(ta, tb, tc, tm, sup, n):
-    """Is the identity labeling lexicographically minimal for these members?
+def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
+    """Walk labelings of the support, comparing sorted member codes to best.
 
-    ta/tb/tc/tm are the member vertex columns and multiplicities sorted by
-    member code; sup lists the support vertices ascending.  Tries every
-    injection of the support onto labels 0..s-1 by DFS, comparing the
-    emerging sorted code sequence against the identity sequence, pruning
-    branches as soon as a determined prefix decides the comparison.
-    Returns 0 when a strictly smaller labeling exists, else 1.
+    ta/tb/tc/tm are the member vertex columns and multiplicities; sup
+    lists the support vertices ascending.  Every injection of the support
+    onto labels 0..s-1 is tried by DFS, and a branch is cut as soon as a
+    determined prefix of its sorted code sequence shows it cannot end
+    strictly below best.  With stop=1, returns 1 at the first labeling
+    strictly below best.  With stop=0, each complete labeling strictly
+    below best replaces it, codes in best and the label of every vertex
+    in out_lab (-1 off the support), so best ends as the minimum and ties
+    keep the earlier labeling.  Returns 0 when no labeling beats the seed.
     """
     k = ta.shape[0]
     s = sup.shape[0]
-    if k == 0:
-        return 1
-    target = np.empty(k, np.int64)
-    for i in range(k):
-        target[i] = ((ta[i] * 64 + tb[i]) * 64 + tc[i]) * 4 + tm[i]
+    if k == 0 or s == 0:
+        return 0
+    r = n + 2  # exceeds every label, including the fresh ones below
     lab = np.full(n, -1, np.int64)
     used = np.zeros(s, np.uint8)
     choice = np.full(s, -1, np.int64)
     det = np.empty(k, np.int64)
+    found = 0
     level = 0
     while level >= 0:
         prev = choice[level]
@@ -207,41 +226,29 @@ def is_min_labeled(ta, tb, tc, tm, sup, n):
         lb = _INF
         ndet = 0
         for i in range(k):
-            a0 = _INF
-            a1 = _INF
-            a2 = _INF
-            na = 0
-            for j in range(3):
-                if j == 0:
-                    xv = lab[ta[i]]
-                elif j == 1:
-                    xv = lab[tb[i]]
-                else:
-                    xv = lab[tc[i]]
-                if xv < 0:
-                    continue
-                na += 1
-                if xv < a0:
-                    a2 = a1
-                    a1 = a0
-                    a0 = xv
-                elif xv < a1:
-                    a2 = a1
-                    a1 = xv
-                else:
-                    a2 = xv
             # unassigned slots take the smallest fresh labels, which exceed
             # every assigned label
-            if na == 0:
-                q0, q1, q2 = nass, nass + 1, nass + 2
-            elif na == 1:
-                q0, q1, q2 = a0, nass, nass + 1
-            elif na == 2:
-                q0, q1, q2 = a0, a1, nass
-            else:
-                q0, q1, q2 = a0, a1, a2
-            code = ((q0 * 64 + q1) * 64 + q2) * 4 + tm[i]
-            if na == 3:
+            fresh = nass
+            x0 = lab[ta[i]]
+            if x0 < 0:
+                x0 = fresh
+                fresh += 1
+            x1 = lab[tb[i]]
+            if x1 < 0:
+                x1 = fresh
+                fresh += 1
+            x2 = lab[tc[i]]
+            if x2 < 0:
+                x2 = fresh
+                fresh += 1
+            if x0 > x1:
+                x0, x1 = x1, x0
+            if x1 > x2:
+                x1, x2 = x2, x1
+                if x0 > x1:
+                    x0, x1 = x1, x0
+            code = ((x0 * r + x1) * r + x2) * 4 + tm[i]
+            if fresh == nass:
                 det[ndet] = code
                 ndet += 1
             elif code < lb:
@@ -259,142 +266,44 @@ def is_min_labeled(ta, tb, tc, tm, sup, n):
         # codes below lb are final; undetermined members cannot land there
         cmp = 0
         for ii in range(p):
-            if det[ii] != target[ii]:
-                cmp = -1 if det[ii] < target[ii] else 1
+            if det[ii] != best[ii]:
+                cmp = -1 if det[ii] < best[ii] else 1
                 break
-        if cmp == -1:
-            return 0
-        prune = 0
-        if cmp == 1:
-            prune = 1
-        elif p == k:
-            prune = 1  # full tie: an automorphism, not an improvement
-        elif lb > target[p]:
-            prune = 1  # every completion exceeds the target at position p
-        if prune == 0 and level < s - 1:
+        # a full tie is an automorphism, not an improvement; lb > best[p]
+        # means every completion exceeds best at position p
+        if cmp == 1 or (cmp == 0 and (p == k or lb > best[p])):
+            continue  # advance to the next sibling
+        if stop == 1 and cmp == -1:
+            return 1
+        if level < s - 1:
             level += 1
-        # otherwise stay and advance to the next sibling
-    return 1
+        else:
+            # complete labeling, so p == k and cmp == -1
+            best[:] = det
+            out_lab[:] = lab
+            found = 1
+    return found
+
+
+@_jit
+def is_min_labeled(ta, tb, tc, tm, sup, n):
+    """Is the identity labeling lexicographically minimal for these members?
+
+    ta/tb/tc/tm must be sorted by member code.  Returns 0 when a strictly
+    smaller labeling exists, else 1.
+    """
+    r = n + 2
+    best = ((ta * r + tb) * r + tc) * 4 + tm
+    return 1 - _label_dfs(ta, tb, tc, tm, sup, n, best, 1, np.empty(0, np.int64))
 
 
 @_jit
 def min_labeling(ta, tb, tc, tm, sup, n, out_lab):
     """Fill out_lab with the labeling minimizing the sorted code sequence.
 
-    Same DFS as is_min_labeled but against a running best instead of a
-    fixed target.  out_lab[v] is the new label of support vertex v, -1 for
-    vertices outside the support.
+    out_lab[v] is the new label of support vertex v, -1 for vertices
+    outside the support.
     """
-    k = ta.shape[0]
-    s = sup.shape[0]
-    for v in range(n):
-        out_lab[v] = -1
-    if k == 0 or s == 0:
-        return
-    best = np.full(k, _INF, np.int64)
-    best_set = 0
-    lab = np.full(n, -1, np.int64)
-    used = np.zeros(s, np.uint8)
-    choice = np.full(s, -1, np.int64)
-    det = np.empty(k, np.int64)
-    level = 0
-    while level >= 0:
-        prev = choice[level]
-        if prev >= 0:
-            used[prev] = 0
-            lab[sup[prev]] = -1
-        c = prev + 1
-        while c < s and used[c] == 1:
-            c += 1
-        if c >= s:
-            choice[level] = -1
-            level -= 1
-            continue
-        choice[level] = c
-        used[c] = 1
-        lab[sup[c]] = level
-        nass = level + 1
-        lb = _INF
-        ndet = 0
-        for i in range(k):
-            a0 = _INF
-            a1 = _INF
-            a2 = _INF
-            na = 0
-            for j in range(3):
-                if j == 0:
-                    xv = lab[ta[i]]
-                elif j == 1:
-                    xv = lab[tb[i]]
-                else:
-                    xv = lab[tc[i]]
-                if xv < 0:
-                    continue
-                na += 1
-                if xv < a0:
-                    a2 = a1
-                    a1 = a0
-                    a0 = xv
-                elif xv < a1:
-                    a2 = a1
-                    a1 = xv
-                else:
-                    a2 = xv
-            if na == 0:
-                q0, q1, q2 = nass, nass + 1, nass + 2
-            elif na == 1:
-                q0, q1, q2 = a0, nass, nass + 1
-            elif na == 2:
-                q0, q1, q2 = a0, a1, nass
-            else:
-                q0, q1, q2 = a0, a1, a2
-            code = ((q0 * 64 + q1) * 64 + q2) * 4 + tm[i]
-            if na == 3:
-                det[ndet] = code
-                ndet += 1
-            elif code < lb:
-                lb = code
-        for ii in range(1, ndet):
-            key = det[ii]
-            jj = ii - 1
-            while jj >= 0 and det[jj] > key:
-                det[jj + 1] = det[jj]
-                jj -= 1
-            det[jj + 1] = key
-        p = 0
-        while p < ndet and det[p] < lb:
-            p += 1
-        prune = 0
-        if best_set == 1:
-            cmp = 0
-            for ii in range(p):
-                if det[ii] != best[ii]:
-                    cmp = -1 if det[ii] < best[ii] else 1
-                    break
-            if cmp == 1:
-                prune = 1
-            elif cmp == 0:
-                if p == k:
-                    prune = 1  # ties the best; keep the earlier labeling
-                elif lb > best[p]:
-                    prune = 1
-        if prune == 0:
-            if level == s - 1:
-                # complete labeling; p == k here since support is exhausted
-                take = 0
-                if best_set == 0:
-                    take = 1
-                else:
-                    for ii in range(k):
-                        if det[ii] != best[ii]:
-                            take = 1 if det[ii] < best[ii] else 0
-                            break
-                if take == 1:
-                    for ii in range(k):
-                        best[ii] = det[ii]
-                    for v in range(n):
-                        out_lab[v] = lab[v]
-                    best_set = 1
-            else:
-                level += 1
-    return
+    out_lab[:] = -1
+    best = np.full(ta.shape[0], _INF, np.int64)
+    _label_dfs(ta, tb, tc, tm, sup, n, best, 0, out_lab)

@@ -3,10 +3,12 @@
 Two families are isomorphic when some vertex bijection carries one member
 multiset onto the other (multiplicities included; mode labels do not
 matter).  The canonical form is the lexicographically least sorted member
-sequence over all relabelings, found by a backtracking search over label
-assignments that prunes on determined prefixes.  Support vertices always
-receive labels 0..s-1 in a canonical labeling; collapsing label gaps never
-increases the sequence.
+sequence over all relabelings.  canonical_relabeling and is_canonical both
+find it with the one labeling DFS in _accel, a backtracking search over
+label assignments that prunes on determined prefixes; the first seeks the
+minimum, the second stops at the first labeling below the identity.
+Support vertices always receive labels 0..s-1 in a canonical labeling;
+collapsing label gaps never increases the sequence.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import build_pool, rainbow_after_add
+from ._accel import add_member, build_pool, rainbow_after_add
 from .family import (
     MULTISET,
     SET,
@@ -86,18 +86,12 @@ def find_doubled_support(n: int, size: int) -> TriangleFamily | None:
             a, b, c = pool[idx]
             if rainbow_after_add(cnt, tri_mult, tri_index, n, a, b, c, 2):
                 continue
-            for u, v in ((a, b), (a, c), (b, c)):
-                cnt[u, v] += 2
-                cnt[v, u] += 2
-            tri_mult[idx] = 2
+            add_member(cnt, tri_mult, idx, a, b, c, 2)
             chosen.append(pool[idx])
             if dfs(idx + 1):
                 return True
             chosen.pop()
-            for u, v in ((a, b), (a, c), (b, c)):
-                cnt[u, v] -= 2
-                cnt[v, u] -= 2
-            tri_mult[idx] = 0
+            add_member(cnt, tri_mult, idx, a, b, c, -2)
         return False
 
     if not dfs(0):

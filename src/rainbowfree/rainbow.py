@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import build_pool, rainbow_triple_scan
+from ._accel import add_member, build_pool, rainbow_triple_scan
 from .family import (
     Edge,
     MemberRef,
@@ -46,10 +46,7 @@ def family_state(f: TriangleFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     cnt = np.zeros((f.n, f.n), np.int64)
     tri_mult = np.zeros(max(len(pool), 1), np.int64)
     for (a, b, c), m in f.members:
-        for u, v in ((a, b), (a, c), (b, c)):
-            cnt[u, v] += m
-            cnt[v, u] += m
-        tri_mult[tri_index[a, b, c]] += m
+        add_member(cnt, tri_mult, tri_index[a, b, c], a, b, c, m)
     return cnt, tri_mult, tri_index
 
 
@@ -67,7 +64,8 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     packed = int(rainbow_triple_scan(cnt, tri_mult, tri_index, f.n))
     if packed < 0:
         return None
-    triple: Triangle = (packed // 4096, (packed // 64) % 64, packed % 64)
+    xy, z = divmod(packed, f.n)
+    triple: Triangle = (*divmod(xy, f.n), z)
     edges = triangle_edges(triple)
     owners = [edge_owners(f, e) for e in edges]
     for r1 in owners[0]:

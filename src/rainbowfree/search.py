@@ -21,10 +21,17 @@ import multiprocessing as mp
 import os
 import tempfile
 from dataclasses import dataclass
+from queue import Empty
 
 import numpy as np
 
-from ._accel import build_pool, is_min_labeled, list_extensions, rainbow_after_add
+from ._accel import (
+    add_member,
+    build_pool,
+    is_min_labeled,
+    list_extensions,
+    rainbow_after_add,
+)
 from .family import (
     MODES,
     MULTISET,
@@ -43,6 +50,7 @@ TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 _CKPT_MAGIC = "ckpt 1"
 _NODE_FLUSH = 256
+_WORKER_POLL_S = 0.5
 
 
 class SearchError(ValueError):
@@ -172,10 +180,7 @@ class _Searcher:
 
     def _push(self, idx: int, m: int) -> None:
         a, b, c = self.pool[idx]
-        for u, v in ((a, b), (a, c), (b, c)):
-            self.cnt[u, v] += m
-            self.cnt[v, u] += m
-        self.tri_mult[idx] += m
+        add_member(self.cnt, self.tri_mult, idx, a, b, c, m)
         d = len(self.stack)
         self.ta[d] = a
         self.tb[d] = b
@@ -190,10 +195,7 @@ class _Searcher:
     def _pop(self) -> None:
         idx, m = self.stack.pop()
         a, b, c = self.pool[idx]
-        for u, v in ((a, b), (a, c), (b, c)):
-            self.cnt[u, v] -= m
-            self.cnt[v, u] -= m
-        self.tri_mult[idx] -= m
+        add_member(self.cnt, self.tri_mult, idx, a, b, c, -m)
         self.size -= m
         self.sup = self.sup_stack.pop()
 
@@ -627,7 +629,7 @@ def _parallel_search(cfg: SearchConfig) -> SearchResult:
     shared_best = ctx.Value("q", shallow.best, lock=False)
     shared_nodes = ctx.Value("q", shallow.nodes, lock=True)
     found_task = ctx.Value("q", 1 << 62, lock=True)
-    queue = ctx.SimpleQueue()
+    queue = ctx.Queue()
     workers = [
         ctx.Process(
             target=_worker_main,
@@ -637,13 +639,29 @@ def _parallel_search(cfg: SearchConfig) -> SearchResult:
     ]
     for w in workers:
         w.start()
-    payloads = []
+    reported: dict[int, dict] = {}
     try:
-        for _ in workers:
-            payloads.append(queue.get())
+        while len(reported) < len(workers):
+            exited = [wid for wid, w in enumerate(workers) if w.exitcode is not None]
+            try:
+                p = queue.get(timeout=_WORKER_POLL_S)
+            except Empty:
+                # a worker that had exited before this wait began has
+                # nothing left in flight, so it died without reporting
+                for wid in exited:
+                    if wid not in reported:
+                        raise SearchError(
+                            f"worker {wid} exited with code "
+                            f"{workers[wid].exitcode} before reporting"
+                        ) from None
+                continue
+            reported[p["wid"]] = p
     finally:
         for w in workers:
+            if len(reported) < len(workers):
+                w.terminate()
             w.join()
+    payloads = list(reported.values())
     errors = [p["error"] for p in payloads if "error" in p]
     if errors:
         raise SearchError(f"worker failed: {errors[0]}")

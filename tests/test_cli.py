@@ -18,6 +18,7 @@ from rainbowfree.family import (
     parse_family,
     serialize_family,
 )
+from rainbowfree.rainbow import RainbowCertificate, verify_certificate
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -92,6 +93,21 @@ def test_check_bad_inputs(tmp_path, capsys):
     broken.write_text("trifam 2\nmode set\nn 4\n0 1 2\n")
     code, _, err = run_cli(capsys, ["check", str(broken)])
     assert code == USAGE and "header" in err
+
+
+def test_check_rainbow_past_63_vertices(tmp_path, capsys):
+    wide = family_from_triangles(70, [(65, 66, 67), (65, 66, 68), (65, 67, 68)])
+    path = save(tmp_path, "wide.trifam", wide)
+    code, out, _ = run_cli(capsys, ["check", path])
+    assert code == FAIL
+    head, *rows = out.splitlines()
+    assert head == "rainbow 65 66 67"
+    assignment = []
+    for row in rows:
+        _, u, v, _, i, _, cp = row.split()
+        assignment.append(((int(u), int(v)), (int(i), int(cp))))
+    cert = RainbowCertificate((65, 66, 67), tuple(assignment))
+    assert verify_certificate(wide, cert)
 
 
 # -- construct

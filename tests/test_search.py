@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -135,6 +137,28 @@ def test_repeat_runs_are_identical():
     b = enumerate_extremal(6, worker_count=2)
     assert _result_key(a) == _result_key(b)
     assert a.nodes_explored == b.nodes_explored
+
+
+DEAD_WORKER = """
+import os
+import rainbowfree.search as search
+search._worker_main = lambda *args: os._exit(9)
+try:
+    search.max_family(7, worker_count=2)
+except search.SearchError as exc:
+    print(exc)
+"""
+
+
+def test_dead_worker_raises_instead_of_hanging():
+    # a subprocess, so that a regression fails on the timeout instead of
+    # hanging the suite
+    proc = subprocess.run(
+        [sys.executable, "-c", DEAD_WORKER], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exited with code 9 before reporting" in proc.stdout
+    assert proc.stdout.startswith("worker ")
 
 
 def test_node_limit_stops_early():
