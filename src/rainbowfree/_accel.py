@@ -4,8 +4,13 @@ Set RAINBOWFREE_NO_NUMBA=1 to force the pure-Python fallback; the same
 source then runs uncompiled, so both paths share one implementation.
 USING_NUMBA reports which path is active.  All kernels work on int64
 numpy arrays and plain ints.  Packed values use a radix derived from n
-(the rainbow scan packs triples with radix n, the labeling DFS packs
+(the rainbow kernels pack triples with radix n, the labeling DFS packs
 member codes with radix n + 2), so no kernel caps the vertex count.
+
+The rainbow kernels take a family as cnt, the symmetric edge owner-count
+matrix, codes, the members' packed triples (a*n+b)*n+c ascending, and tm,
+their multiplicities.  A triple's own multiplicity is found in codes by
+binary search, so no kernel input grows with n^3.
 
 Rainbow test used throughout: a vertex triple is rainbow iff its three
 edges exist and admit a system of distinct representatives among owner
@@ -52,21 +57,22 @@ else:
 _INF = np.int64(1) << 62
 
 
-def build_pool(n: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """All triangles on 0..n-1 in lexicographic order, plus a rank table.
-
-    tri_index[a, b, c] = pool rank for a < b < c, -1 elsewhere.
-    """
+def build_pool(n: int) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """All triangles on 0..n-1 in lexicographic order, plus their vertex columns."""
     pool = list(itertools.combinations(range(n), 3))
-    tri_index = np.full((n, n, n), -1, dtype=np.int64)
-    for i, (a, b, c) in enumerate(pool):
-        tri_index[a, b, c] = i
-    return pool, tri_index
+    pool_a, pool_b, pool_c = np.array(pool, np.int64).reshape(-1, 3).T.copy()
+    return pool, pool_a, pool_b, pool_c
+
+
+def member_columns(members) -> np.ndarray:
+    """Rows ta, tb, tc, tm of (triangle, multiplicity) pairs sorted by triangle."""
+    rows = [(*t, m) for t, m in sorted(members)]
+    return np.array(rows, np.int64).reshape(-1, 4).T.copy()
 
 
 @_jit
-def add_member(cnt, tri_mult, idx, a, b, c, m):
-    """Add m copies of member (a, b, c), pool rank idx, to the owner counts.
+def add_member(cnt, a, b, c, m):
+    """Add m copies of member (a, b, c) to the owner counts.
 
     A negative m removes copies.
     """
@@ -76,7 +82,6 @@ def add_member(cnt, tri_mult, idx, a, b, c, m):
     cnt[c, a] += m
     cnt[b, c] += m
     cnt[c, b] += m
-    tri_mult[idx] += m
 
 
 @_jit
@@ -96,11 +101,19 @@ def _hall3(c1, c2, c3, cm):
 
 
 @_jit
-def rainbow_triple_scan(cnt, tri_mult, tri_index, n):
+def _mult(codes, tm, code):
+    """Multiplicity of the member with packed code `code`, 0 for a non-member."""
+    i = np.searchsorted(codes, code)
+    if i < codes.shape[0] and codes[i] == code:
+        return tm[i]
+    return 0
+
+
+@_jit
+def rainbow_triple_scan(cnt, codes, tm, n):
     """First rainbow triple in lexicographic order, packed (x*n+y)*n+z.
 
-    cnt is the symmetric edge owner-count matrix, tri_mult the per-pool
-    member multiplicities.  Returns -1 when the family is rainbow-free.
+    Returns -1 when the family is rainbow-free.
     """
     for x in range(n):
         for y in range(x + 1, n):
@@ -109,54 +122,50 @@ def rainbow_triple_scan(cnt, tri_mult, tri_index, n):
             for z in range(y + 1, n):
                 if cnt[x, z] == 0 or cnt[y, z] == 0:
                     continue
-                cm = tri_mult[tri_index[x, y, z]]
-                if _hall3(cnt[x, y], cnt[x, z], cnt[y, z], cm) == 1:
-                    return (x * n + y) * n + z
+                code = (x * n + y) * n + z
+                if _hall3(cnt[x, y], cnt[x, z], cnt[y, z], _mult(codes, tm, code)) == 1:
+                    return code
     return -1
 
 
 @_jit
-def rainbow_after_add(cnt, tri_mult, tri_index, n, x, y, z, add_m):
+def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
     """Would adding add_m copies of (x, y, z) create a rainbow triple?
 
     Assumes the current family is rainbow-free, so only triples using an
     edge of the new member need checking.  Returns 1 if a rainbow appears.
     """
     for k in range(3):
+        # edge (a, b) of the new member, o its opposite vertex
         if k == 0:
-            a, b = x, y
+            a, b, o = x, y, z
         elif k == 1:
-            a, b = x, z
+            a, b, o = x, z, y
         else:
-            a, b = y, z
+            a, b, o = y, z, x
+        cab = cnt[a, b] + add_m
         for w in range(n):
             if w == a or w == b:
                 continue
-            # sort (a, b, w); a < b already
+            # (a, w) and (b, w) are edges of the new member only when w == o
+            own = add_m if w == o else 0
+            caw = cnt[a, w] + own
+            cbw = cnt[b, w] + own
+            if caw < 1 or cbw < 1:
+                continue
             if w < a:
-                p, q, r = w, a, b
+                code = (w * n + a) * n + b
             elif w < b:
-                p, q, r = a, w, b
+                code = (a * n + w) * n + b
             else:
-                p, q, r = a, b, w
-            own = 1 if (p == x and q == y and r == z) else 0
-            cm = tri_mult[tri_index[p, q, r]] + add_m * own
-            c1 = cnt[p, q]
-            if p == x and q == y or p == x and q == z or p == y and q == z:
-                c1 += add_m
-            c2 = cnt[p, r]
-            if p == x and r == y or p == x and r == z or p == y and r == z:
-                c2 += add_m
-            c3 = cnt[q, r]
-            if q == x and r == y or q == x and r == z or q == y and r == z:
-                c3 += add_m
-            if _hall3(c1, c2, c3, cm) == 1:
+                code = (a * n + b) * n + w
+            if _hall3(cab, caw, cbw, _mult(codes, tm, code) + own) == 1:
                 return 1
     return 0
 
 
 @_jit
-def list_extensions(cnt, tri_mult, tri_index, n, pool_a, pool_b, pool_c, start, max_mult, out):
+def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, out):
     """Record the largest rainbow-safe multiplicity per pool triangle >= start.
 
     out[idx] becomes 0 (cannot extend), 1, or 2; entries below start are
@@ -172,10 +181,10 @@ def list_extensions(cnt, tri_mult, tri_index, n, pool_a, pool_b, pool_c, start, 
         a = pool_a[idx]
         b = pool_b[idx]
         c = pool_c[idx]
-        if rainbow_after_add(cnt, tri_mult, tri_index, n, a, b, c, 1) == 1:
+        if rainbow_after_add(cnt, codes, tm, n, a, b, c, 1) == 1:
             continue
         m = 1
-        if max_mult >= 2 and rainbow_after_add(cnt, tri_mult, tri_index, n, a, b, c, 2) == 0:
+        if max_mult >= 2 and rainbow_after_add(cnt, codes, tm, n, a, b, c, 2) == 0:
             m = 2
         out[idx] = m
         cap += m

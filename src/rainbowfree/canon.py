@@ -15,20 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._accel import is_min_labeled, min_labeling
+from ._accel import is_min_labeled, member_columns, min_labeling
 from .family import TriangleFamily, Triangle
 
 
-def _member_arrays(
-    f: TriangleFamily,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    ms = sorted(f.members)
-    ta = np.array([t[0] for t, _ in ms], np.int64)
-    tb = np.array([t[1] for t, _ in ms], np.int64)
-    tc = np.array([t[2] for t, _ in ms], np.int64)
-    tm = np.array([m for _, m in ms], np.int64)
-    sup = np.array(f.support_vertices(), np.int64)
-    return ta, tb, tc, tm, sup
+def _member_arrays(f: TriangleFamily) -> tuple[np.ndarray, ...]:
+    """ta, tb, tc, tm (see member_columns) and the support vertices."""
+    return (*member_columns(f.members), np.array(f.support_vertices(), np.int64))
 
 
 def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFamily]:

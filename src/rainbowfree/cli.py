@@ -463,6 +463,10 @@ def main(argv: list[str] | None = None) -> int:
     except TrifamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except MemoryError:
+        # exit 1 would claim the property fails
+        print("error: out of memory", file=sys.stderr)
+        return LIMIT
     except BrokenPipeError:
         return OK
 

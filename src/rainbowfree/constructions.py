@@ -71,27 +71,31 @@ def find_doubled_support(n: int, size: int) -> TriangleFamily | None:
     triple, which in particular forces the chosen triangles to be
     pairwise edge-disjoint.
     """
-    pool, tri_index = build_pool(n)
+    pool, *_ = build_pool(n)
     total = len(pool)
     cnt = np.zeros((n, n), np.int64)
-    tri_mult = np.zeros(total, np.int64)
+    # packed codes and multiplicities of the chosen members, ascending
+    codes = np.zeros(total, np.int64)
+    tm = np.full(total, 2, np.int64)
     chosen: list[Triangle] = []
 
     def dfs(start: int) -> bool:
-        if len(chosen) == size:
+        k = len(chosen)
+        if k == size:
             return True
-        if len(chosen) + (total - start) < size:
+        if k + (total - start) < size:
             return False
         for idx in range(start, total):
             a, b, c = pool[idx]
-            if rainbow_after_add(cnt, tri_mult, tri_index, n, a, b, c, 2):
+            if rainbow_after_add(cnt, codes[:k], tm[:k], n, a, b, c, 2):
                 continue
-            add_member(cnt, tri_mult, idx, a, b, c, 2)
+            add_member(cnt, a, b, c, 2)
+            codes[k] = (a * n + b) * n + c
             chosen.append(pool[idx])
             if dfs(idx + 1):
                 return True
             chosen.pop()
-            add_member(cnt, tri_mult, idx, a, b, c, -2)
+            add_member(cnt, a, b, c, -2)
         return False
 
     if not dfs(0):

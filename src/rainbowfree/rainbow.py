@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import add_member, build_pool, rainbow_triple_scan
+from ._accel import add_member, member_columns, rainbow_triple_scan
 from .family import (
     Edge,
     MemberRef,
@@ -41,13 +41,12 @@ def edge_owners(f: TriangleFamily, e: Edge) -> tuple[MemberRef, ...]:
 
 
 def family_state(f: TriangleFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge owner-count matrix, pool multiplicities, and the rank table."""
-    pool, tri_index = build_pool(f.n)
+    """f as (cnt, codes, tm), the rainbow kernels' member format (see _accel)."""
     cnt = np.zeros((f.n, f.n), np.int64)
-    tri_mult = np.zeros(max(len(pool), 1), np.int64)
     for (a, b, c), m in f.members:
-        add_member(cnt, tri_mult, tri_index[a, b, c], a, b, c, m)
-    return cnt, tri_mult, tri_index
+        add_member(cnt, a, b, c, m)
+    ta, tb, tc, tm = member_columns(f.members)
+    return cnt, (ta * f.n + tb) * f.n + tc, tm
 
 
 def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
@@ -60,8 +59,7 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     """
     if f.n < 3 or not f.members:
         return None
-    cnt, tri_mult, tri_index = family_state(f)
-    packed = int(rainbow_triple_scan(cnt, tri_mult, tri_index, f.n))
+    packed = int(rainbow_triple_scan(*family_state(f), f.n))
     if packed < 0:
         return None
     xy, z = divmod(packed, f.n)
@@ -82,10 +80,7 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
 
 
 def has_rainbow(f: TriangleFamily) -> bool:
-    if f.n < 3 or not f.members:
-        return False
-    cnt, tri_mult, tri_index = family_state(f)
-    return int(rainbow_triple_scan(cnt, tri_mult, tri_index, f.n)) >= 0
+    return find_rainbow(f) is not None
 
 
 def verify_certificate(f: TriangleFamily, c: RainbowCertificate) -> bool:

@@ -120,8 +120,8 @@ def extend_ok(
         raise SearchError("add_m must be at least 1")
     if state is None:
         state = family_state(f)
-    cnt, tri_mult, tri_index = state
-    return rainbow_after_add(cnt, tri_mult, tri_index, f.n, a, b, c, add_m) == 0
+    cnt, codes, tm = state
+    return rainbow_after_add(cnt, codes, tm, f.n, a, b, c, add_m) == 0
 
 
 class _LimitHit(Exception):
@@ -141,13 +141,11 @@ class _Searcher:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
         n = cfg.n
-        self.pool, self.tri_index = build_pool(n)
+        self.pool, self.pool_a, self.pool_b, self.pool_c = build_pool(n)
         self.total = len(self.pool)
-        self.pool_a = np.array([t[0] for t in self.pool], np.int64)
-        self.pool_b = np.array([t[1] for t in self.pool], np.int64)
-        self.pool_c = np.array([t[2] for t in self.pool], np.int64)
         self.cnt = np.zeros((n, n), np.int64)
-        self.tri_mult = np.zeros(self.total, np.int64)
+        # stack members as kernel columns, code-sorted since pushes ascend
+        self.codes = np.zeros(self.total + 1, np.int64)
         self.ta = np.zeros(self.total + 1, np.int64)
         self.tb = np.zeros(self.total + 1, np.int64)
         self.tc = np.zeros(self.total + 1, np.int64)
@@ -169,7 +167,7 @@ class _Searcher:
         self.unflushed = 0
         # task collection hook for the parallel driver
         self.task_depth: int | None = None
-        self.tasks: list[_Snapshot] = []
+        self.tasks: list[tuple[tuple[int, int], ...]] = []
 
     # -- state plumbing
 
@@ -180,8 +178,9 @@ class _Searcher:
 
     def _push(self, idx: int, m: int) -> None:
         a, b, c = self.pool[idx]
-        add_member(self.cnt, self.tri_mult, idx, a, b, c, m)
+        add_member(self.cnt, a, b, c, m)
         d = len(self.stack)
+        self.codes[d] = (a * self.cfg.n + b) * self.cfg.n + c
         self.ta[d] = a
         self.tb[d] = b
         self.tc[d] = c
@@ -195,7 +194,7 @@ class _Searcher:
     def _pop(self) -> None:
         idx, m = self.stack.pop()
         a, b, c = self.pool[idx]
-        add_member(self.cnt, self.tri_mult, idx, a, b, c, -m)
+        add_member(self.cnt, a, b, c, -m)
         self.size -= m
         self.sup = self.sup_stack.pop()
 
@@ -280,7 +279,7 @@ class _Searcher:
         replaying = bool(replay)
         if not replaying:
             if self.task_depth is not None and len(self.stack) == self.task_depth:
-                self.tasks.append(self._snapshot())
+                self.tasks.append(tuple(self.stack))
                 return
             self._count_node()
             self._record()
@@ -289,8 +288,8 @@ class _Searcher:
         buf = self._buf(depth)
         capacity = list_extensions(
             self.cnt,
-            self.tri_mult,
-            self.tri_index,
+            self.codes[:depth],
+            self.tm[:depth],
             self.cfg.n,
             self.pool_a,
             self.pool_b,
@@ -570,10 +569,9 @@ def _worker_main(cfg, tasks, wid, shared_best, shared_nodes, found_task, queue):
         for tidx in range(wid, len(tasks), cfg.worker_count):
             if cfg.target == PROVE and found_task.value < tidx:
                 break
-            prefix = tasks[tidx]
             try:
-                for tri, m in prefix:
-                    s._push(_rank(s, tri), m)
+                for idx, m in tasks[tidx]:
+                    s._push(idx, m)
                 s._process([])
             except _LimitHit:
                 completed = False
@@ -599,11 +597,6 @@ def _worker_main(cfg, tasks, wid, shared_best, shared_nodes, found_task, queue):
         queue.put(payload)
     except BaseException as exc:  # surface worker crashes to the parent
         queue.put({"wid": wid, "error": repr(exc)})
-
-
-def _rank(s: _Searcher, tri: Triangle) -> int:
-    a, b, c = tri
-    return int(s.tri_index[a, b, c])
 
 
 def _parallel_search(cfg: SearchConfig) -> SearchResult:

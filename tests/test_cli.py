@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import os
+import resource
 import subprocess
 import sys
 
@@ -188,6 +190,39 @@ def test_certify_mis_limit(tmp_path, capsys):
     path = save(tmp_path, "big.trifam", big)
     code, _, err = run_cli(capsys, ["certify", path])
     assert code == LIMIT and "error:" in err
+
+
+def _run_capped(argv):
+    """The CLI in a subprocess whose address space is capped at 2 GiB."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "rainbowfree.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap,
+        timeout=120,
+    )
+
+
+def test_large_n_within_memory_cap(tmp_path):
+    # the state is an n x n count matrix (32 MB here) plus the members;
+    # nothing of size n^3
+    wide = family_from_triangles(2000, [(0, 1, 2), (0, 3, 4), (1997, 1998, 1999)])
+    path = save(tmp_path, "wide.trifam", wide)
+    proc = _run_capped(["check", path, "--porcelain"])
+    assert proc.returncode == OK, proc.stderr
+    assert proc.stdout == "status=rainbow-free\n"
+    proc = _run_capped(["certify", path])
+    assert proc.returncode == LIMIT, proc.stderr
+    assert "exact solver limit" in proc.stderr
+    # the count matrix alone would take 298 GiB
+    path = save(tmp_path, "huge.trifam", family_from_triangles(200_000, [(0, 1, 2)]))
+    proc = _run_capped(["check", path])
+    assert proc.returncode == LIMIT and proc.stderr == "error: out of memory\n"
 
 
 # -- search

@@ -5,11 +5,19 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 GOLDEN = Path(__file__).parent / "data" / "kernels_golden.txt"
+
+try:
+    import numba  # noqa: F401
+
+    HAVE_NUMBA = True
+except ImportError:
+    HAVE_NUMBA = False
 
 DRIVER = r"""
 import itertools
@@ -105,8 +113,11 @@ def _run_driver(tmp_path, force_python):
 
 @pytest.fixture(scope="module")
 def lane_outputs(tmp_path_factory):
+    # without numba both runs would be the pure-Python lane, so run it once
     tmp = tmp_path_factory.mktemp("lanes")
-    return _run_driver(tmp, False), _run_driver(tmp, True)
+    python_out = _run_driver(tmp, True)
+    compiled_out = _run_driver(tmp, False) if HAVE_NUMBA else None
+    return compiled_out, python_out
 
 
 def test_python_lane_reports_itself(lane_outputs):
@@ -114,23 +125,15 @@ def test_python_lane_reports_itself(lane_outputs):
     assert python_out.splitlines()[0] == "lane python"
 
 
-def test_env_flag_selects_lane(lane_outputs):
-    compiled_out, _ = lane_outputs
-    lane = compiled_out.splitlines()[0]
-    try:
-        import numba  # noqa: F401
-
-        assert lane == "lane numba"
-    except ImportError:
-        assert lane == "lane python"
-
-
 def test_lanes_agree_everywhere(lane_outputs):
     compiled_out, python_out = lane_outputs
-    a = compiled_out.splitlines()[1:]
     b = python_out.splitlines()[1:]
-    assert a == b
-    assert len(a) > 10  # the driver exercised every module
+    assert len(b) > 10  # the driver exercised every module
+    if compiled_out is None:
+        warnings.warn("numba not installed: the compiled lane was not compared")
+        return
+    assert compiled_out.splitlines()[0] == "lane numba"
+    assert compiled_out.splitlines()[1:] == b
 
 
 def test_python_lane_matches_golden(lane_outputs):
@@ -145,12 +148,6 @@ def test_flag_parsing_accepts_variants(tmp_path):
     script.write_text(
         "from rainbowfree._accel import USING_NUMBA\nprint(USING_NUMBA)\n"
     )
-    try:
-        import numba  # noqa: F401
-
-        have_numba = True
-    except ImportError:
-        have_numba = False
     for value, allows in (("1", False), ("true", False), ("", True), ("0", True)):
         env = dict(os.environ)
         env["RAINBOWFREE_NO_NUMBA"] = value
@@ -162,4 +159,4 @@ def test_flag_parsing_accepts_variants(tmp_path):
             timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == str(allows and have_numba)
+        assert proc.stdout.strip() == str(allows and HAVE_NUMBA)
