@@ -125,6 +125,29 @@ def test_python_lane_reports_itself(lane_outputs):
     assert python_out.splitlines()[0] == "lane python"
 
 
+def test_env_flag_selects_lane(lane_outputs, tmp_path):
+    compiled_out, _ = lane_outputs
+    if compiled_out is None:
+        # no unflagged driver run without numba; the import alone says the lane
+        script = tmp_path / "lane.py"
+        script.write_text(
+            "from rainbowfree._accel import USING_NUMBA\nprint(USING_NUMBA)\n"
+        )
+        env = dict(os.environ)
+        env.pop("RAINBOWFREE_NO_NUMBA", None)
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        return
+    assert compiled_out.splitlines()[0] == "lane numba"
+
+
 def test_lanes_agree_everywhere(lane_outputs):
     compiled_out, python_out = lane_outputs
     b = python_out.splitlines()[1:]
@@ -132,7 +155,6 @@ def test_lanes_agree_everywhere(lane_outputs):
     if compiled_out is None:
         warnings.warn("numba not installed: the compiled lane was not compared")
         return
-    assert compiled_out.splitlines()[0] == "lane numba"
     assert compiled_out.splitlines()[1:] == b
 
 
