@@ -88,6 +88,29 @@ out.append(f"max8 {r8.best_size} nodes {r8.nodes_explored}")
 for w in r8.witnesses:
     out.append("wit8 " + serialize_family(w).replace("\n", "|"))
 
+# automorphism-rich inputs, where the labeling DFS meets many tied leaves
+rng = random.Random(20222)
+for name, fam, reps in (
+    ("p10-2-6", pair_family(10, 2, 6), 3),
+    ("p10-3-4", pair_family(10, 3, 4), 3),
+    ("t8", t_star(8), 3),
+    ("d9", doubled_nine(), 3),
+    ("t12", t_star(12), 1),
+):
+    for j in range(reps):
+        perm = list(range(fam.n))
+        rng.shuffle(perm)
+        members = tuple(
+            sorted((tuple(sorted(perm[v] for v in t)), m) for t, m in fam.members)
+        )
+        rf = TriangleFamily(fam.n, members, fam.mode)
+        mapping, image = canonical_relabeling(rf)
+        out.append(
+            f"sym-{name}-{j} {canonical_form(rf).hex()} map "
+            + ",".join(str(mapping[v]) for v in range(fam.n))
+            + f" canon {is_canonical(rf)} {is_canonical(image)}"
+        )
+
 sys.stdout.write("\n".join(out) + "\n")
 """
 
