@@ -192,6 +192,15 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
 
 
 @_jit
+def _orbit_root(par, x):
+    """Smallest position in the orbit of x (union-find with path halving)."""
+    while par[x] != x:
+        par[x] = par[par[x]]
+        x = par[x]
+    return x
+
+
+@_jit
 def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     """Walk labelings of the support, comparing sorted member codes to best.
 
@@ -204,6 +213,18 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     below best replaces it, codes in best and the label of every vertex
     in out_lab (-1 off the support), so best ends as the minimum and ties
     keep the earlier labeling.  Returns 0 when no labeling beats the seed.
+
+    Automorphism pruning (McKay 1981; McKay and Piperno 2014): a leaf
+    that ties best is the best labeling composed with an automorphism,
+    stored as a permutation of support positions.  A sibling is skipped
+    when its orbit, under the stored automorphisms that fix the assigned
+    prefix pointwise, holds a smaller position, and after a tie the DFS
+    jumps back to the level where the tie's path left the best path.
+    Each skipped subtree is the image of an explored one under an
+    automorphism fixing the prefix, so it has the same code sequences at
+    every node: it can only tie, and ties keep the earlier labeling.
+    best, out_lab and the return value are therefore the same as without
+    pruning.
     """
     k = ta.shape[0]
     s = sup.shape[0]
@@ -214,6 +235,15 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     used = np.zeros(s, np.uint8)
     choice = np.full(s, -1, np.int64)
     det = np.empty(k, np.int64)
+    # bpath[l]: position labeled l in the best labeling; with stop=1 the
+    # seed is the identity, which a leaf can only tie when sup is 0..s-1
+    bpath = np.arange(s)
+    gens = np.empty((2 * s + 8, s), np.int64)
+    ngen = 0
+    # per level: orbit forest of the stored automorphisms fixing the
+    # prefix, and how many of them it has absorbed (-1: not built)
+    par = np.empty((s, s), np.int64)
+    seen = np.full(s, -1, np.int64)
     found = 0
     level = 0
     while level >= 0:
@@ -221,8 +251,35 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
         if prev >= 0:
             used[prev] = 0
             lab[sup[prev]] = -1
+        else:
+            seen[level] = -1  # new prefix
         c = prev + 1
-        while c < s and used[c] == 1:
+        while c < s:
+            if used[c] == 0:
+                if ngen == 0:
+                    break
+                orb = par[level]
+                if seen[level] < 0:
+                    for i in range(s):
+                        orb[i] = i
+                    seen[level] = 0
+                for g in range(seen[level], ngen):
+                    fixes = True
+                    for j in range(level):
+                        if gens[g, choice[j]] != choice[j]:
+                            fixes = False
+                            break
+                    if fixes:
+                        for i in range(s):
+                            ra = _orbit_root(orb, i)
+                            rb = _orbit_root(orb, gens[g, i])
+                            if ra < rb:
+                                orb[rb] = ra
+                            elif rb < ra:
+                                orb[ra] = rb
+                seen[level] = ngen
+                if _orbit_root(orb, c) == c:
+                    break
             c += 1
         if c >= s:
             choice[level] = -1
@@ -278,9 +335,25 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
             if det[ii] != best[ii]:
                 cmp = -1 if det[ii] < best[ii] else 1
                 break
-        # a full tie is an automorphism, not an improvement; lb > best[p]
-        # means every completion exceeds best at position p
-        if cmp == 1 or (cmp == 0 and (p == k or lb > best[p])):
+        if cmp == 0 and p == k:
+            # a full tie: store the automorphism carrying this path onto
+            # the best path, then jump back to where the two paths part
+            d = 0
+            while d < nass and choice[d] == bpath[d]:
+                d += 1
+            if nass == s and d < s:
+                if ngen < gens.shape[0]:
+                    for j in range(s):
+                        gens[ngen, choice[j]] = bpath[j]
+                    ngen += 1
+                while level > d:
+                    used[choice[level]] = 0
+                    lab[sup[choice[level]]] = -1
+                    choice[level] = -1
+                    level -= 1
+            continue
+        # lb > best[p] means every completion exceeds best at position p
+        if cmp == 1 or (cmp == 0 and lb > best[p]):
             continue  # advance to the next sibling
         if stop == 1 and cmp == -1:
             return 1
@@ -290,6 +363,7 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
             # complete labeling, so p == k and cmp == -1
             best[:] = det
             out_lab[:] = lab
+            bpath[:] = choice
             found = 1
     return found
 

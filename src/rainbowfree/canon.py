@@ -7,6 +7,13 @@ sequence over all relabelings.  canonical_relabeling and is_canonical both
 find it with the one labeling DFS in _accel, a backtracking search over
 label assignments that prunes on determined prefixes; the first seeks the
 minimum, the second stops at the first labeling below the identity.
+A labeling that ties the best one found so far exposes an automorphism;
+the DFS stores it and skips every later sibling choice lying in the orbit
+of an explored one, under the stored automorphisms that fix the labels
+already assigned.  Such a subtree mirrors an explored one code for code,
+so it could only produce ties, which never replace the earlier labeling:
+forms, maps and verdicts are exactly those of the unpruned search, and
+families with huge automorphism groups such as t_star(16) stay cheap.
 Support vertices always receive labels 0..s-1 in a canonical labeling;
 collapsing label gaps never increases the sequence.
 """
