@@ -45,6 +45,7 @@ from .search import (
     PROVE,
     SearchConfig,
     SearchError,
+    SearchLimitError,
     load_checkpoint,
     resume_search,
     run_search,
@@ -73,6 +74,10 @@ class _CliError(Exception):
 
 def _usage(message: str) -> _CliError:
     return _CliError(USAGE, message)
+
+
+def _search_error(exc: SearchError) -> _CliError:
+    return _CliError(LIMIT if isinstance(exc, SearchLimitError) else USAGE, str(exc))
 
 
 # -- input/output helpers
@@ -257,7 +262,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
             checkpoint_interval=args.checkpoint_interval or 100_000,
         )
     except SearchError as exc:
-        raise _usage(str(exc)) from exc
+        raise _search_error(exc) from exc
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -281,7 +286,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 checkpoint_interval=args.checkpoint_interval or 100_000,
             )
         except SearchError as exc:
-            raise _usage(str(exc)) from exc
+            raise _search_error(exc) from exc
         except OSError as exc:
             raise _usage(f"cannot read {args.resume}: {exc}") from exc
     else:
@@ -290,7 +295,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         try:
             result = run_search(cfg)
         except SearchError as exc:
-            raise _usage(str(exc)) from exc
+            raise _search_error(exc) from exc
 
     lines = [_kv(args, "best", result.best_size)]
     if result.found is not None or target == PROVE:

@@ -48,6 +48,11 @@ PROVE = "prove"
 ENUMERATE = "enumerate"
 TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
+# Largest n a search accepts.  The engine keeps all C(n,3) triangles in
+# its pool and scans them at every node, so a single node at n = 64
+# already takes seconds, and no exhaustive search near this size ends.
+MAX_SEARCH_N = 64
+
 _CKPT_MAGIC = "ckpt 1"
 _NODE_FLUSH = 256
 _WORKER_POLL_S = 0.5
@@ -55,6 +60,10 @@ _WORKER_POLL_S = 0.5
 
 class SearchError(ValueError):
     """Invalid search configuration, corrupt checkpoint, or engine fault."""
+
+
+class SearchLimitError(SearchError):
+    """A search larger than the engine accepts (n above MAX_SEARCH_N)."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise SearchError("search needs n >= 3")
+        if self.n > MAX_SEARCH_N:
+            raise SearchLimitError(f"search needs n <= {MAX_SEARCH_N}, got n = {self.n}")
         if self.mode not in MODES:
             raise SearchError(f"unknown mode {self.mode!r}")
         if self.target not in TARGETS:

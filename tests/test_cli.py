@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,7 +13,13 @@ import pytest
 
 from rainbowfree.canon import are_isomorphic
 from rainbowfree.cli import FAIL, LIMIT, OK, USAGE, main
-from rainbowfree.constructions import double, doubled_nine, pair_family, t_star
+from rainbowfree.constructions import (
+    double,
+    doubled_nine,
+    is_tstar_family,
+    pair_family,
+    t_star,
+)
 from rainbowfree.family import (
     MULTISET,
     SET,
@@ -21,6 +28,7 @@ from rainbowfree.family import (
     serialize_family,
 )
 from rainbowfree.rainbow import RainbowCertificate, verify_certificate
+from rainbowfree.search import MAX_SEARCH_N
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -317,6 +325,20 @@ def test_search_flag_validation(capsys):
     assert code == USAGE and "n >= 3" in err
 
 
+def test_search_n_cap_exits_limit():
+    # the C(200,3) pool would take minutes to scan for a single node
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowfree.cli", "search", "--n", "200"]
+        + ["--node-limit", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == LIMIT, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: search needs n <= {MAX_SEARCH_N}, got n = 200\n"
+
+
 # -- rs
 
 
@@ -383,6 +405,26 @@ def test_canon_normalizes_relabelings(tmp_path, capsys):
     assert code == OK
     assert out_a == out_b
     assert are_isomorphic(parse_family(out_a), t_star(8))
+
+
+def test_canon_t_star_16_finishes():
+    # |Aut(t_star(16))| = 4! * 2^4 * 8! = 15,482,880; without automorphism
+    # pruning the labeling DFS walks every automorphic branch to a leaf
+    rng = random.Random(16)
+    perm = list(range(16))
+    rng.shuffle(perm)
+    shuffled = family_from_triangles(
+        16, [tuple(sorted(perm[v] for v in t)) for t in t_star(16).support], SET
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowfree.cli", "canon", "-"],
+        input=serialize_family(shuffled),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == OK, proc.stderr
+    assert is_tstar_family(parse_family(proc.stdout))
 
 
 # -- config files
