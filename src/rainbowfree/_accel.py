@@ -271,6 +271,8 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
                             break
                     if fixes:
                         for i in range(s):
+                            if gens[g, i] == i:
+                                continue
                             ra = _orbit_root(orb, i)
                             rb = _orbit_root(orb, gens[g, i])
                             if ra < rb:
