@@ -327,9 +327,9 @@ def test_search_flag_validation(capsys):
 
 def test_search_n_cap_exits_limit():
     # the C(200,3) pool would take minutes to scan for a single node
+    argv = ["search", "--n", "200", "--node-limit", "1"]
     proc = subprocess.run(
-        [sys.executable, "-m", "rainbowfree.cli", "search", "--n", "200"]
-        + ["--node-limit", "1"],
+        [sys.executable, "-m", "rainbowfree.cli", *argv],
         capture_output=True,
         text=True,
         timeout=30,
