@@ -239,6 +239,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return OK if report.verdict else FAIL
 
 
+def _given(**kwargs: object) -> dict:
+    """The keyword arguments whose flags were given, so 0 is not a default."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     if args.prove is not None and args.enumerate_extremal:
         raise _usage("--prove and --enumerate-extremal are mutually exclusive")
@@ -256,10 +261,12 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
             mode=args.mode or SET,
             target=target,
             prove_k=k,
-            node_limit=args.node_limit or 0,
-            worker_count=args.workers or 1,
             checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval or 100_000,
+            **_given(
+                node_limit=args.node_limit,
+                worker_count=args.workers,
+                checkpoint_interval=args.checkpoint_interval,
+            ),
         )
     except SearchError as exc:
         raise _search_error(exc) from exc
@@ -281,9 +288,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             target = load_checkpoint(args.resume)["target"]
             result = resume_search(
                 args.resume,
-                node_limit=args.node_limit or 0,
                 checkpoint_path=args.checkpoint,
-                checkpoint_interval=args.checkpoint_interval or 100_000,
+                **_given(
+                    node_limit=args.node_limit,
+                    checkpoint_interval=args.checkpoint_interval,
+                ),
             )
         except SearchError as exc:
             raise _search_error(exc) from exc

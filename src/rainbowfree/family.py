@@ -188,10 +188,7 @@ def parse_family(data: str | bytes) -> TriangleFamily:
         if not a < b < c:
             raise TrifamError(f"vertices not ascending on line {line!r}")
         members.append(((a, b, c), mult))
-    try:
-        return TriangleFamily(n, tuple(members), mode)
-    except TrifamError:
-        raise
+    return TriangleFamily(n, tuple(members), mode)
 
 
 def serialize_family(f: TriangleFamily) -> str:

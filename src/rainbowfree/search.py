@@ -13,6 +13,13 @@ tie the best), which makes the witness set independent of worker count
 and traversal timing. prove stops at the first family of the requested
 size in depth-first order. The shared best size is only a pruning hint
 across workers; stale reads weaken pruning but never change results.
+
+Parallel workers all run the same DFS. Each node at depth _SLOT_DEPTH is
+a slot, numbered in DFS order. A worker explores only the slots it claims
+from a shared counter, and worker 0 alone counts and records the nodes
+above the slot depth. Those levels take no cut from the timing-dependent
+best sizes, so every worker numbers the slots alike. The prove find with
+the smallest DFS-order key wins: it is the single-worker witness.
 """
 
 from __future__ import annotations
@@ -54,8 +61,11 @@ TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
+_CKPT_INTERVAL = 100_000
 _NODE_FLUSH = 256
 _WORKER_POLL_S = 0.5
+_SLOT_DEPTH = 2
+_NO_FIND = 1 << 62
 
 
 class SearchError(ValueError):
@@ -75,7 +85,7 @@ class SearchConfig:
     node_limit: int = 0
     worker_count: int = 1
     checkpoint_path: str | None = None
-    checkpoint_interval: int = 100_000
+    checkpoint_interval: int = _CKPT_INTERVAL
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -147,7 +157,7 @@ _Snapshot = tuple[tuple[Triangle, int], ...]
 
 
 class _Searcher:
-    """Single-process DFS core, reusable across worker task prefixes."""
+    """The DFS core, run alone or as one of several slot-claiming workers."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -173,12 +183,15 @@ class _Searcher:
         self.completed = True
         self._bufs: list[np.ndarray] = []
         # cooperation hooks, unused in single-worker runs
+        self.wid = 0
         self.shared_best = None
         self.shared_nodes = None
+        self.next_slot = None
+        self.found_key = None
         self.unflushed = 0
-        # task collection hook for the parallel driver
-        self.task_depth: int | None = None
-        self.tasks: list[tuple[tuple[int, int], ...]] = []
+        self.slot = 0  # slots passed so far, in DFS order
+        self.claim = -1  # the one slot this worker may explore
+        self.key = _NO_FIND  # DFS-order key of found_witness
 
     # -- state plumbing
 
@@ -212,18 +225,32 @@ class _Searcher:
     def _snapshot(self) -> _Snapshot:
         return tuple((self.pool[i], m) for i, m in self.stack)
 
-    def _family(self, snap: _Snapshot) -> TriangleFamily:
-        return TriangleFamily(self.cfg.n, snap, self.cfg.mode)
-
-    def _needed(self) -> int:
+    def _needed(self, depth: int) -> int:
         if self.cfg.target == PROVE:
             return self.cfg.prove_k
-        needed = self.best
-        if self.shared_best is not None:
-            hint = self.shared_best.value
-            if hint > needed:
-                needed = hint
-        return needed
+        if self.shared_best is None:
+            return self.best
+        if depth < _SLOT_DEPTH:
+            # Workers must number the slots alike, so the upper levels take
+            # no cut from bests that depend on timing.  A single worker's
+            # cut never fires there either: max_family at n = 3..9 (set)
+            # and n = 3..8 (multiset) make no cut at depth <= 1.
+            return -1
+        return max(self.best, self.shared_best.value)
+
+    def _claim_slot(self) -> bool:
+        """At a slot node: True iff this worker explores the slot."""
+        if self.next_slot is None:
+            return True
+        s = self.slot
+        self.slot += 1
+        if self.found_key.value < 2 * s:
+            raise _ProofFound  # an earlier find settles this slot and the rest
+        if s > self.claim:
+            with self.next_slot.get_lock():
+                self.claim = self.next_slot.value
+                self.next_slot.value += 1
+        return s == self.claim
 
     # -- node accounting
 
@@ -258,9 +285,14 @@ class _Searcher:
 
     # -- bookkeeping at a node
 
-    def _record(self) -> None:
+    def _record(self, depth: int) -> None:
         if self.cfg.target == PROVE and self.size >= self.cfg.prove_k:
             self.found_witness = self._snapshot()
+            if self.found_key is not None:
+                # DFS-order key: 2*slot in a slot, 2*slot + 1 above the slot depth
+                self.key = 2 * self.slot - (2 if depth >= _SLOT_DEPTH else 1)
+                with self.found_key.get_lock():
+                    self.found_key.value = min(self.found_key.value, self.key)
             raise _ProofFound
         if self.size > self.best:
             self.best = self.size
@@ -288,13 +320,13 @@ class _Searcher:
 
     def _process(self, replay: list[tuple[int, int]]) -> None:
         replaying = bool(replay)
-        if not replaying:
-            if self.task_depth is not None and len(self.stack) == self.task_depth:
-                self.tasks.append(tuple(self.stack))
-                return
-            self._count_node()
-            self._record()
         depth = len(self.stack)
+        if not replaying:
+            if depth == _SLOT_DEPTH and not self._claim_slot():
+                return
+            if self.wid == 0 or depth >= _SLOT_DEPTH:
+                self._count_node()
+                self._record(depth)
         start = self.stack[-1][0] + 1 if self.stack else 0
         buf = self._buf(depth)
         capacity = list_extensions(
@@ -309,7 +341,7 @@ class _Searcher:
             self.cfg.max_multiplicity,
             buf,
         )
-        if not replaying and self.size + capacity < self._needed():
+        if not replaying and self.size + capacity < self._needed(depth):
             return
         forced = replay[0] if replaying else None
         sup = self.sup
@@ -380,7 +412,8 @@ class _Searcher:
         lines.append(f"witnesses {len(blocks)}")
         for snap in blocks:
             lines.append("witness")
-            lines.append(serialize_family(self._family(snap)).rstrip("\n"))
+            family = TriangleFamily(cfg.n, snap, cfg.mode)
+            lines.append(serialize_family(family).rstrip("\n"))
         payload = "\n".join(lines) + "\n"
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
@@ -394,14 +427,24 @@ class _Searcher:
             raise
 
 
+def _ckpt_int(path: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SearchError(f"{path}: expected an integer, got {text!r}") from None
+
+
 def load_checkpoint(path: str) -> dict:
     """Parse a checkpoint file into a plain dict (no engine state)."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SearchError(f"{path}: not an ASCII checkpoint ({exc.reason})") from None
     lines = raw.splitlines()
     if not lines or lines[0].strip() != _CKPT_MAGIC:
         raise SearchError(f"{path}: not a version-1 checkpoint")
-    fields: dict[str, str] = {}
+    state: dict = {}
     pos = 1
     keys = ("n", "mode", "target", "prove_k", "done", "found", "nodes", "best")
     for key in keys:
@@ -410,12 +453,13 @@ def load_checkpoint(path: str) -> dict:
         parts = lines[pos].split()
         if len(parts) != 2 or parts[0] != key:
             raise SearchError(f"{path}: expected '{key} <value>' on line {pos + 1}")
-        fields[key] = parts[1]
+        text = parts[1]
+        state[key] = text if key in ("mode", "target") else _ckpt_int(path, text)
         pos += 1
     parts = lines[pos].split() if pos < len(lines) else []
     if len(parts) != 2 or parts[0] != "prefix":
         raise SearchError(f"{path}: expected 'prefix <count>'")
-    prefix_len = int(parts[1])
+    prefix_len = _ckpt_int(path, parts[1])
     pos += 1
     prefix: list[tuple[Triangle, int]] = []
     for _ in range(prefix_len):
@@ -424,13 +468,13 @@ def load_checkpoint(path: str) -> dict:
         nums = lines[pos].split()
         if len(nums) != 4:
             raise SearchError(f"{path}: bad prefix line {lines[pos]!r}")
-        a, b, c, m = map(int, nums)
+        a, b, c, m = (_ckpt_int(path, x) for x in nums)
         prefix.append(((a, b, c), m))
         pos += 1
     parts = lines[pos].split() if pos < len(lines) else []
     if len(parts) != 2 or parts[0] != "witnesses":
         raise SearchError(f"{path}: expected 'witnesses <count>'")
-    count = int(parts[1])
+    count = _ckpt_int(path, parts[1])
     pos += 1
     witnesses: list[TriangleFamily] = []
     while pos < len(lines) and lines[pos].strip() == "witness":
@@ -444,39 +488,29 @@ def load_checkpoint(path: str) -> dict:
         raise SearchError(
             f"{path}: witness count mismatch ({len(witnesses)} != {count})"
         )
-    return {
-        "n": int(fields["n"]),
-        "mode": fields["mode"],
-        "target": fields["target"],
-        "prove_k": int(fields["prove_k"]),
-        "done": bool(int(fields["done"])),
-        "found": bool(int(fields["found"])),
-        "nodes": int(fields["nodes"]),
-        "best": int(fields["best"]),
-        "prefix": tuple(prefix),
-        "witnesses": tuple(witnesses),
-    }
-
-
-def _snap_key(f: TriangleFamily) -> tuple:
-    return f.members
+    state.update(
+        done=bool(state["done"]),
+        found=bool(state["found"]),
+        prefix=tuple(prefix),
+        witnesses=tuple(witnesses),
+    )
+    return state
 
 
 def _finish(
     cfg: SearchConfig,
-    families: list[TriangleFamily],
+    snaps: list[_Snapshot],
     nodes: int,
     completed: bool,
-    found_witness: TriangleFamily | None,
+    found_snap: _Snapshot | None,
 ) -> SearchResult:
+    families = [TriangleFamily(cfg.n, snap, cfg.mode) for snap in snaps]
+    best = max((f.size for f in families), default=0)
     if cfg.target == PROVE:
-        found = found_witness is not None
-        witnesses = (found_witness,) if found else ()
-        best = found_witness.size if found else max(
-            (f.size for f in families), default=0
-        )
+        found = found_snap is not None
+        witnesses = (TriangleFamily(cfg.n, found_snap, cfg.mode),) if found else ()
         result = SearchResult(
-            best_size=best,
+            best_size=witnesses[0].size if found else best,
             witnesses=witnesses,
             extremal_class_count=None,
             nodes_explored=nodes,
@@ -484,9 +518,8 @@ def _finish(
             found=found if completed or found else None,
         )
     else:
-        best = max((f.size for f in families), default=0)
         witnesses = tuple(
-            sorted((f for f in families if f.size == best), key=_snap_key)
+            sorted((f for f in families if f.size == best), key=lambda f: f.members)
         )
         result = SearchResult(
             best_size=best,
@@ -512,16 +545,14 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         return _parallel_search(cfg)
     s = _Searcher(cfg)
     s.run()
-    families = [s._family(snap) for snap in s.witnesses]
-    found = s._family(s.found_witness) if s.found_witness is not None else None
-    return _finish(cfg, families, s.nodes, s.completed, found)
+    return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
 
 
 def resume_search(
     path: str,
     node_limit: int = 0,
     checkpoint_path: str | None = None,
-    checkpoint_interval: int = 100_000,
+    checkpoint_interval: int = _CKPT_INTERVAL,
 ) -> SearchResult:
     """Continue a single-worker search from a checkpoint file.
 
@@ -541,14 +572,14 @@ def resume_search(
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
     )
+    snaps = [f.members for f in state["witnesses"]]
     if state["done"]:
-        families = list(state["witnesses"])
-        found = families[0] if (cfg.target == PROVE and state["found"]) else None
-        return _finish(cfg, families, state["nodes"], True, found)
+        found = snaps[0] if (cfg.target == PROVE and state["found"]) else None
+        return _finish(cfg, snaps, state["nodes"], True, found)
     s = _Searcher(cfg)
     s.nodes = state["nodes"]
     s.best = state["best"]
-    s.witnesses = [f.members for f in state["witnesses"]]
+    s.witnesses = snaps
     if cfg.target == PROVE and state["found"]:
         # a found proof is always written as a done checkpoint
         raise SearchError(f"{path}: found-flag set on an unfinished checkpoint")
@@ -562,48 +593,25 @@ def resume_search(
             raise SearchError(f"{path}: prefix members out of order")
     # rebuild geometry along the prefix without counting those nodes
     s.run(replay)
-    families = [s._family(snap) for snap in s.witnesses]
-    found = s._family(s.found_witness) if s.found_witness is not None else None
-    return _finish(cfg, families, s.nodes, s.completed, found)
+    return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
 
 
 # -- parallel driver
 
 
-def _worker_main(cfg, tasks, wid, shared_best, shared_nodes, found_task, queue):
+def _worker_main(cfg, wid, shared, queue):
     try:
         s = _Searcher(cfg)
-        s.shared_best = shared_best
-        s.shared_nodes = shared_nodes
-        found: list[tuple[int, _Snapshot]] = []
-        completed = True
-        for tidx in range(wid, len(tasks), cfg.worker_count):
-            if cfg.target == PROVE and found_task.value < tidx:
-                break
-            try:
-                for idx, m in tasks[tidx]:
-                    s._push(idx, m)
-                s._process([])
-            except _LimitHit:
-                completed = False
-            except _ProofFound:
-                found.append((tidx, s.found_witness))
-                s.found_witness = None
-                with found_task.get_lock():
-                    if tidx < found_task.value:
-                        found_task.value = tidx
-            finally:
-                s._flush_nodes()
-                while s.stack:
-                    s._pop()
-            if not completed or (cfg.target == PROVE and found):
-                break
+        s.wid = wid
+        s.shared_best, s.shared_nodes, s.next_slot, s.found_key = shared
+        s.run()
         payload = {
             "wid": wid,
             "nodes": s.nodes,
-            "witnesses": list(s.witnesses),
-            "found": found,
-            "completed": completed,
+            "witnesses": s.witnesses,
+            "found": s.found_witness,
+            "key": s.key,
+            "completed": s.completed,
         }
         queue.put(payload)
     except BaseException as exc:  # surface worker crashes to the parent
@@ -612,33 +620,15 @@ def _worker_main(cfg, tasks, wid, shared_best, shared_nodes, found_task, queue):
 
 def _parallel_search(cfg: SearchConfig) -> SearchResult:
     ctx = mp.get_context("fork")
-    shallow = _Searcher(cfg)
-    shallow.task_depth = 2
-    try:
-        shallow._process([])
-        shallow_ok = True
-    except _LimitHit:
-        shallow_ok = False
-    except _ProofFound:
-        families = [shallow._family(snap) for snap in shallow.witnesses]
-        found = shallow._family(shallow.found_witness)
-        return _finish(cfg, families, shallow.nodes, True, found)
-    finally:
-        while shallow.stack:
-            shallow._pop()
-    families = [shallow._family(snap) for snap in shallow.witnesses]
-    if not shallow_ok:
-        return _finish(cfg, families, shallow.nodes, False, None)
-    tasks = shallow.tasks
-    shared_best = ctx.Value("q", shallow.best, lock=False)
-    shared_nodes = ctx.Value("q", shallow.nodes, lock=True)
-    found_task = ctx.Value("q", 1 << 62, lock=True)
+    shared = (
+        ctx.Value("q", -1, lock=False),  # best size hint
+        ctx.Value("q", 0, lock=True),  # nodes counted
+        ctx.Value("q", 0, lock=True),  # next unclaimed slot
+        ctx.Value("q", _NO_FIND, lock=True),  # smallest prove-find key
+    )
     queue = ctx.Queue()
     workers = [
-        ctx.Process(
-            target=_worker_main,
-            args=(cfg, tasks, wid, shared_best, shared_nodes, found_task, queue),
-        )
+        ctx.Process(target=_worker_main, args=(cfg, wid, shared, queue))
         for wid in range(cfg.worker_count)
     ]
     for w in workers:
@@ -669,22 +659,12 @@ def _parallel_search(cfg: SearchConfig) -> SearchResult:
     errors = [p["error"] for p in payloads if "error" in p]
     if errors:
         raise SearchError(f"worker failed: {errors[0]}")
-    nodes = shallow.nodes + sum(p["nodes"] for p in payloads)
-    completed = all(p["completed"] for p in payloads)
-    for p in payloads:
-        for snap in p["witnesses"]:
-            families.append(TriangleFamily(cfg.n, snap, cfg.mode))
-    found_entries = [
-        (tidx, TriangleFamily(cfg.n, snap, cfg.mode))
-        for p in payloads
-        for tidx, snap in p["found"]
-    ]
-    found = None
-    if found_entries:
-        found_entries.sort(key=lambda e: e[0])
-        found = found_entries[0][1]
-        completed = True
-    return _finish(cfg, families, nodes, completed, found)
+    nodes = sum(p["nodes"] for p in payloads)
+    snaps = [snap for p in payloads for snap in p["witnesses"]]
+    first = min(payloads, key=lambda p: p["key"])
+    found = first["found"]
+    completed = found is not None or all(p["completed"] for p in payloads)
+    return _finish(cfg, snaps, nodes, completed, found)
 
 
 # -- convenience wrappers

@@ -314,6 +314,18 @@ def test_search_resume_rejects_overrides(tmp_path, capsys):
     assert code == USAGE
 
 
+def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys):
+    ck = tmp_path / "run.ckpt"
+    run_cli(capsys, [
+        "search", "--n", "6", "--node-limit", "3",
+        "--checkpoint", str(ck), "--checkpoint-interval", "2",
+    ])
+    ck.write_text(ck.read_text().replace("\nnodes ", "\nnodes x", 1))
+    code, out, err = run_cli(capsys, ["search", "--resume", str(ck)])
+    assert code == USAGE and out == ""
+    assert err.startswith("error: ") and "integer" in err
+
+
 def test_search_flag_validation(capsys):
     code, _, err = run_cli(capsys, ["search"])
     assert code == USAGE and "--n" in err
@@ -323,6 +335,12 @@ def test_search_flag_validation(capsys):
     assert code == USAGE and "mutually exclusive" in err
     code, _, err = run_cli(capsys, ["search", "--n", "2"])
     assert code == USAGE and "n >= 3" in err
+    code, _, err = run_cli(capsys, ["search", "--n", "6", "--workers", "0"])
+    assert code == USAGE and "worker count must be at least 1" in err
+    code, _, err = run_cli(
+        capsys, ["search", "--n", "6", "--checkpoint-interval", "0"]
+    )
+    assert code == USAGE and "checkpoint interval must be positive" in err
 
 
 def test_search_n_cap_exits_limit():

@@ -1,4 +1,4 @@
-"""Property tests for canonical labeling over random small families."""
+"""Property tests for canonical labeling and rainbows over random small families."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from rainbowfree.canon import (
     is_canonical,
 )
 from rainbowfree.family import MULTISET, SET, TriangleFamily
+from rainbowfree.rainbow import find_rainbow, verify_certificate
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -77,3 +78,18 @@ same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), famili
 def test_are_isomorphic_is_symmetric(pair):
     f, g = pair
     assert are_isomorphic(f, g) == are_isomorphic(g, f)
+
+
+@PROPERTY
+@given(relabeled_pairs())
+def test_rainbow_existence_ignores_relabeling(pair):
+    f, g = pair
+    assert (find_rainbow(f) is None) == (find_rainbow(g) is None)
+
+
+@PROPERTY
+@given(families())
+def test_rainbow_certificates_verify(f):
+    cert = find_rainbow(f)
+    if cert is not None:
+        assert verify_certificate(f, cert)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -123,7 +124,7 @@ def test_worker_count_does_not_change_results():
     base_max = max_family(7)
     base_enum = enumerate_extremal(7)
     base_prove = prove_size(8, 8)
-    for wc in (2, 3):
+    for wc in (2, 3, 4):
         assert _result_key(max_family(7, worker_count=wc)) == _result_key(base_max)
         e = enumerate_extremal(7, worker_count=wc)
         assert _result_key(e) == _result_key(base_enum)
@@ -161,11 +162,31 @@ def test_dead_worker_raises_instead_of_hanging():
     assert proc.stdout.startswith("worker ")
 
 
+@pytest.mark.parametrize("n,mode", [(5, SET), (6, SET), (7, SET), (8, SET),
+                                    (6, MULTISET), (7, MULTISET)])
+def test_parallel_prove_returns_single_worker_witness(n, mode):
+    # k = 0 and 1 are found above the slot depth; larger k inside slots,
+    # where a worker must stop once an earlier slot has a find
+    m = max_family(n, mode=mode).best_size
+    for k in range(m + 2):
+        base = prove_size(n, k, mode=mode)
+        for wc in (2, 3):
+            r = prove_size(n, k, mode=mode, worker_count=wc)
+            assert r.completed and r.found == base.found, (k, wc)
+            assert [w.members for w in r.witnesses] == [
+                w.members for w in base.witnesses
+            ], (k, wc)
+
+
 def test_node_limit_stops_early():
     r = max_family(7, node_limit=8)
     assert not r.completed and r.nodes_explored == 8
     r = max_family(7, node_limit=8, worker_count=2)
     assert not r.completed
+    # refuting k = 9 at n = 8 takes 43 nodes, far past what two workers
+    # count before one of them stops at the limit
+    r = prove_size(8, 9, node_limit=3, worker_count=2)
+    assert not r.completed and r.found is None
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):
@@ -238,6 +259,14 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
         load_checkpoint(str(bad))
 
     bad.write_text(text.rsplit("prefix", 1)[0])  # truncated
+    with pytest.raises(SearchError):
+        load_checkpoint(str(bad))
+
+    for field, value in (("prefix", "abc"), ("nodes", "x")):
+        bad.write_text(re.sub(rf"(?m)^{field} .*$", f"{field} {value}", text))
+        with pytest.raises(SearchError):
+            load_checkpoint(str(bad))
+    bad.write_bytes(text.encode("ascii").replace(b"mode", b"m\xe9de", 1))
     with pytest.raises(SearchError):
         load_checkpoint(str(bad))
 
