@@ -15,9 +15,9 @@ size in depth-first order. The shared best size is only a pruning hint
 across workers; stale reads weaken pruning but never change results.
 
 Parallel workers all run the same DFS. Each node at depth _SLOT_DEPTH is
-a slot, numbered in DFS order. A worker explores only the slots it claims
-from a shared counter, and worker 0 alone counts and records the nodes
-above the slot depth. Those levels take no cut from the timing-dependent
+a slot, numbered in DFS order. Worker w of W explores the slots whose
+index is w mod W, and worker 0 alone counts and records the nodes above
+the slot depth. Those levels take no cut from the timing-dependent
 best sizes, so every worker numbers the slots alike. The prove find with
 the smallest DFS-order key wins: it is the single-worker witness.
 """
@@ -157,7 +157,7 @@ _Snapshot = tuple[tuple[Triangle, int], ...]
 
 
 class _Searcher:
-    """The DFS core, run alone or as one of several slot-claiming workers."""
+    """The DFS core, run alone or as one of several slot-splitting workers."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -186,11 +186,9 @@ class _Searcher:
         self.wid = 0
         self.shared_best = None
         self.shared_nodes = None
-        self.next_slot = None
         self.found_key = None
         self.unflushed = 0
         self.slot = 0  # slots passed so far, in DFS order
-        self.claim = -1  # the one slot this worker may explore
         self.key = _NO_FIND  # DFS-order key of found_witness
 
     # -- state plumbing
@@ -238,19 +236,15 @@ class _Searcher:
             return -1
         return max(self.best, self.shared_best.value)
 
-    def _claim_slot(self) -> bool:
+    def _owns_slot(self) -> bool:
         """At a slot node: True iff this worker explores the slot."""
-        if self.next_slot is None:
+        if self.found_key is None:
             return True
         s = self.slot
         self.slot += 1
         if self.found_key.value < 2 * s:
             raise _ProofFound  # an earlier find settles this slot and the rest
-        if s > self.claim:
-            with self.next_slot.get_lock():
-                self.claim = self.next_slot.value
-                self.next_slot.value += 1
-        return s == self.claim
+        return s % self.cfg.worker_count == self.wid
 
     # -- node accounting
 
@@ -322,7 +316,7 @@ class _Searcher:
         replaying = bool(replay)
         depth = len(self.stack)
         if not replaying:
-            if depth == _SLOT_DEPTH and not self._claim_slot():
+            if depth == _SLOT_DEPTH and not self._owns_slot():
                 return
             if self.wid == 0 or depth >= _SLOT_DEPTH:
                 self._count_node()
@@ -603,7 +597,7 @@ def _worker_main(cfg, wid, shared, queue):
     try:
         s = _Searcher(cfg)
         s.wid = wid
-        s.shared_best, s.shared_nodes, s.next_slot, s.found_key = shared
+        s.shared_best, s.shared_nodes, s.found_key = shared
         s.run()
         payload = {
             "wid": wid,
@@ -623,7 +617,6 @@ def _parallel_search(cfg: SearchConfig) -> SearchResult:
     shared = (
         ctx.Value("q", -1, lock=False),  # best size hint
         ctx.Value("q", 0, lock=True),  # nodes counted
-        ctx.Value("q", 0, lock=True),  # next unclaimed slot
         ctx.Value("q", _NO_FIND, lock=True),  # smallest prove-find key
     )
     queue = ctx.Queue()
