@@ -30,7 +30,6 @@ from .constructions import (
     double,
     doubled_nine,
     doubled_nine_support,
-    find_doubled_support,
     is_tstar_family,
     pair_family,
     t_star,
@@ -118,7 +117,6 @@ __all__ = [
     "enumerate_extremal",
     "extend_ok",
     "family_from_triangles",
-    "find_doubled_support",
     "find_rainbow",
     "has_rainbow",
     "is_canonical",

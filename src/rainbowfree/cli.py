@@ -34,6 +34,7 @@ from .family import (
     SET,
     TriangleFamily,
     TrifamError,
+    VertexLimitError,
     parse_family,
     serialize_family,
 )
@@ -60,7 +61,7 @@ CONSTRUCT_KINDS = ("tstar", "pairs", "double", "fig5")
 
 _BOOL_DESTS = frozenset({"porcelain", "verify_bound", "enumerate_extremal"})
 _INT_DESTS = frozenset(
-    {"n", "pairs", "apexes", "prove", "workers", "node_limit", "checkpoint_interval"}
+    {"n", "pairs", "apexes", "prove", "node_limit", "checkpoint_interval"}
 )
 
 
@@ -95,7 +96,7 @@ def _read_family(path: str) -> TriangleFamily:
     try:
         return parse_family(data)
     except TrifamError as exc:
-        raise _usage(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -203,21 +204,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind != "double" and args.file != "-":
         raise _usage(f"construct {kind} takes no family file")
-    try:
-        if kind == "tstar":
-            if args.n is None:
-                raise _usage("construct tstar requires --n")
-            f = t_star(args.n)
-        elif kind == "pairs":
-            if args.n is None or args.pairs is None or args.apexes is None:
-                raise _usage("construct pairs requires --n, --pairs and --apexes")
-            f = pair_family(args.n, args.pairs, args.apexes)
-        elif kind == "double":
-            f = double(_read_family(args.file))
-        else:  # fig5
-            f = doubled_nine()
-    except TrifamError as exc:
-        raise _usage(str(exc)) from exc
+    if kind == "tstar":
+        if args.n is None:
+            raise _usage("construct tstar requires --n")
+        f = t_star(args.n)
+    elif kind == "pairs":
+        if args.n is None or args.pairs is None or args.apexes is None:
+            raise _usage("construct pairs requires --n, --pairs and --apexes")
+        f = pair_family(args.n, args.pairs, args.apexes)
+    elif kind == "double":
+        f = double(_read_family(args.file))
+    else:  # fig5
+        f = doubled_nine()
     _emit(args, serialize_family(f))
     return OK
 
@@ -264,7 +262,6 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
             checkpoint_path=args.checkpoint,
             **_given(
                 node_limit=args.node_limit,
-                worker_count=args.workers,
                 checkpoint_interval=args.checkpoint_interval,
             ),
         )
@@ -274,12 +271,7 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.resume is not None:
-        for dest, flag in (
-            ("n", "--n"),
-            ("mode", "--mode"),
-            ("prove", "--prove"),
-            ("workers", "--workers"),
-        ):
+        for dest, flag in (("n", "--n"), ("mode", "--mode"), ("prove", "--prove")):
             if getattr(args, dest) is not None:
                 raise _usage(f"--resume takes {flag} from the checkpoint")
         if args.enumerate_extremal:
@@ -346,10 +338,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_rs(args: argparse.Namespace) -> int:
     f = _read_family(args.file)
-    try:
-        d = decompose(f)
-    except TrifamError as exc:
-        raise _usage(str(exc)) from exc
+    d = decompose(f)
     t2_ok, notes = check_t2_constraints(d, f)
     unique_ok, bad_edge = unique_triangle_property(d.g2)
     if args.porcelain:
@@ -439,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enumerate-extremal", action="store_const", const=True, default=None
     )
-    p.add_argument("--workers", type=int, metavar="W", default=None)
     p.add_argument("--node-limit", type=int, metavar="N", default=None)
     p.add_argument("--checkpoint", metavar="PATH", default=None)
     p.add_argument("--checkpoint-interval", type=int, metavar="N", default=None)
@@ -476,7 +464,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except TrifamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        return LIMIT if isinstance(exc, VertexLimitError) else USAGE
     except MemoryError:
         # exit 1 would claim the property fails
         print("error: out of memory", file=sys.stderr)

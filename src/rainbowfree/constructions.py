@@ -10,9 +10,6 @@ on 9 vertices.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ._accel import add_member, build_pool, rainbow_after_add
 from .family import (
     MULTISET,
     SET,
@@ -62,50 +59,10 @@ def double(f: TriangleFamily) -> TriangleFamily:
     return TriangleFamily(f.n, tuple((t, 2) for t, _ in f.members), MULTISET)
 
 
-def find_doubled_support(n: int, size: int) -> TriangleFamily | None:
-    """Lex-first set of `size` triangles on n vertices whose doubling is
-    rainbow-free, or None if no such set exists.
-
-    Depth-first search over ascending triangle sequences; a branch is
-    cut as soon as adding the doubled triangle would create a rainbow
-    triple, which in particular forces the chosen triangles to be
-    pairwise edge-disjoint.
-    """
-    pool, *_ = build_pool(n)
-    total = len(pool)
-    cnt = np.zeros((n, n), np.int64)
-    # packed codes and multiplicities of the chosen members, ascending
-    codes = np.zeros(total, np.int64)
-    tm = np.full(total, 2, np.int64)
-    chosen: list[Triangle] = []
-
-    def dfs(start: int) -> bool:
-        k = len(chosen)
-        if k == size:
-            return True
-        if k + (total - start) < size:
-            return False
-        for idx in range(start, total):
-            a, b, c = pool[idx]
-            if rainbow_after_add(cnt, codes[:k], tm[:k], n, a, b, c, 2):
-                continue
-            add_member(cnt, a, b, c, 2)
-            codes[k] = (a * n + b) * n + c
-            chosen.append(pool[idx])
-            if dfs(idx + 1):
-                return True
-            chosen.pop()
-            add_member(cnt, a, b, c, -2)
-        return False
-
-    if not dfs(0):
-        return None
-    return family_from_triangles(n, list(chosen), SET)
-
-
-# Output of find_doubled_support(9, 6), frozen. Six pairwise
-# edge-disjoint triangles on 9 vertices; their union graph contains no
-# other triangle, and taking each twice stays rainbow-free.
+# Six pairwise edge-disjoint triangles on 9 vertices; their union graph
+# contains no other triangle, and taking each twice stays rainbow-free.
+# Doubled, they form the unique 12-member multiset extremal class at
+# n = 9 (pinned by the multiset census test).
 DOUBLED_9_SUPPORT: tuple[Triangle, ...] = (
     (0, 1, 2),
     (0, 3, 4),

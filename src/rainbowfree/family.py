@@ -24,9 +24,18 @@ MODES = (SET, MULTISET)
 
 MAX_MULTIPLICITY = 2
 
+# Largest vertex count a family may have.  The kernels pack a member into
+# one int64 code with radix n + 2 that must stay below their 2^62
+# sentinel, which holds up to n = 1,664,508.
+MAX_VERTICES = 1_000_000
+
 
 class TrifamError(ValueError):
     """Malformed TRIFAM input or invalid family data."""
+
+
+class VertexLimitError(TrifamError):
+    """A family on more than MAX_VERTICES vertices."""
 
 
 def edge(u: int, v: int) -> Edge:
@@ -63,6 +72,10 @@ class TriangleFamily:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise TrifamError(f"vertex count must be >= 1, got {self.n}")
+        if self.n > MAX_VERTICES:
+            raise VertexLimitError(
+                f"vertex count must be <= {MAX_VERTICES}, got {self.n}"
+            )
         if self.mode not in MODES:
             raise TrifamError(f"unknown mode {self.mode!r}")
         seen: set[Triangle] = set()

@@ -9,26 +9,15 @@ isomorphism class is visited exactly once, with no seen-set.
 
 Targets share one engine. maximize and enumerate collect every canonical
 family of the best size reached (pruning only cuts branches that cannot
-tie the best), which makes the witness set independent of worker count
-and traversal timing. prove stops at the first family of the requested
-size in depth-first order. The shared best size is only a pruning hint
-across workers; stale reads weaken pruning but never change results.
-
-Parallel workers all run the same DFS. Each node at depth _SLOT_DEPTH is
-a slot, numbered in DFS order. Worker w of W explores the slots whose
-index is w mod W, and worker 0 alone counts and records the nodes above
-the slot depth. Those levels take no cut from the timing-dependent
-best sizes, so every worker numbers the slots alike. The prove find with
-the smallest DFS-order key wins: it is the single-worker witness.
+tie the best). prove stops at the first family of the requested size in
+depth-first order.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import tempfile
 from dataclasses import dataclass
-from queue import Empty
 
 import numpy as np
 
@@ -62,10 +51,6 @@ MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
 _CKPT_INTERVAL = 100_000
-_NODE_FLUSH = 256
-_WORKER_POLL_S = 0.5
-_SLOT_DEPTH = 2
-_NO_FIND = 1 << 62
 
 
 class SearchError(ValueError):
@@ -83,7 +68,6 @@ class SearchConfig:
     target: str = MAXIMIZE
     prove_k: int = 0
     node_limit: int = 0
-    worker_count: int = 1
     checkpoint_path: str | None = None
     checkpoint_interval: int = _CKPT_INTERVAL
 
@@ -100,12 +84,8 @@ class SearchConfig:
             raise SearchError("prove target needs k >= 0")
         if self.node_limit < 0:
             raise SearchError("node limit must be nonnegative (0 = none)")
-        if self.worker_count < 1:
-            raise SearchError("worker count must be at least 1")
         if self.checkpoint_interval < 1:
             raise SearchError("checkpoint interval must be positive")
-        if self.checkpoint_path and self.worker_count != 1:
-            raise SearchError("checkpointing requires worker_count = 1")
 
     @property
     def max_multiplicity(self) -> int:
@@ -157,7 +137,7 @@ _Snapshot = tuple[tuple[Triangle, int], ...]
 
 
 class _Searcher:
-    """The DFS core, run alone or as one of several slot-splitting workers."""
+    """The DFS core: orderly generation with capacity cuts and checkpoints."""
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -182,14 +162,6 @@ class _Searcher:
         self.found_witness: _Snapshot | None = None
         self.completed = True
         self._bufs: list[np.ndarray] = []
-        # cooperation hooks, unused in single-worker runs
-        self.wid = 0
-        self.shared_best = None
-        self.shared_nodes = None
-        self.found_key = None
-        self.unflushed = 0
-        self.slot = 0  # slots passed so far, in DFS order
-        self.key = _NO_FIND  # DFS-order key of found_witness
 
     # -- state plumbing
 
@@ -223,46 +195,17 @@ class _Searcher:
     def _snapshot(self) -> _Snapshot:
         return tuple((self.pool[i], m) for i, m in self.stack)
 
-    def _needed(self, depth: int) -> int:
-        if self.cfg.target == PROVE:
-            return self.cfg.prove_k
-        if self.shared_best is None:
-            return self.best
-        if depth < _SLOT_DEPTH:
-            # Workers must number the slots alike, so the upper levels take
-            # no cut from bests that depend on timing.  A single worker's
-            # cut never fires there either: max_family at n = 3..9 (set)
-            # and n = 3..8 (multiset) make no cut at depth <= 1.
-            return -1
-        return max(self.best, self.shared_best.value)
-
-    def _owns_slot(self) -> bool:
-        """At a slot node: True iff this worker explores the slot."""
-        if self.found_key is None:
-            return True
-        s = self.slot
-        self.slot += 1
-        if self.found_key.value < 2 * s:
-            raise _ProofFound  # an earlier find settles this slot and the rest
-        return s % self.cfg.worker_count == self.wid
+    def _needed(self) -> int:
+        return self.cfg.prove_k if self.cfg.target == PROVE else self.best
 
     # -- node accounting
 
     def _count_node(self) -> None:
         limit = self.cfg.node_limit
-        if self.shared_nodes is None:
-            if limit and self.nodes >= limit:
-                if self.cfg.checkpoint_path:
-                    self._write_checkpoint(done=False)
-                raise _LimitHit
-        else:
-            if limit and self.unflushed >= _NODE_FLUSH:
-                self._flush_nodes()
-            if limit and self.shared_nodes.value + self.unflushed >= limit:
-                self._flush_nodes()
-                if self.shared_nodes.value >= limit:
-                    raise _LimitHit
-            self.unflushed += 1
+        if limit and self.nodes >= limit:
+            if self.cfg.checkpoint_path:
+                self._write_checkpoint(done=False)
+            raise _LimitHit
         if (
             self.cfg.checkpoint_path
             and self.nodes
@@ -271,28 +214,15 @@ class _Searcher:
             self._write_checkpoint(done=False)
         self.nodes += 1
 
-    def _flush_nodes(self) -> None:
-        if self.shared_nodes is not None and self.unflushed:
-            with self.shared_nodes.get_lock():
-                self.shared_nodes.value += self.unflushed
-            self.unflushed = 0
-
     # -- bookkeeping at a node
 
-    def _record(self, depth: int) -> None:
+    def _record(self) -> None:
         if self.cfg.target == PROVE and self.size >= self.cfg.prove_k:
             self.found_witness = self._snapshot()
-            if self.found_key is not None:
-                # DFS-order key: 2*slot in a slot, 2*slot + 1 above the slot depth
-                self.key = 2 * self.slot - (2 if depth >= _SLOT_DEPTH else 1)
-                with self.found_key.get_lock():
-                    self.found_key.value = min(self.found_key.value, self.key)
             raise _ProofFound
         if self.size > self.best:
             self.best = self.size
             self.witnesses = [self._snapshot()]
-            if self.shared_best is not None and self.size > self.shared_best.value:
-                self.shared_best.value = self.size
         elif self.size == self.best:
             self.witnesses.append(self._snapshot())
 
@@ -306,7 +236,6 @@ class _Searcher:
         except _ProofFound:
             pass
         finally:
-            self._flush_nodes()
             while self.stack:
                 self._pop()
         if self.completed and self.cfg.checkpoint_path:
@@ -316,11 +245,8 @@ class _Searcher:
         replaying = bool(replay)
         depth = len(self.stack)
         if not replaying:
-            if depth == _SLOT_DEPTH and not self._owns_slot():
-                return
-            if self.wid == 0 or depth >= _SLOT_DEPTH:
-                self._count_node()
-                self._record(depth)
+            self._count_node()
+            self._record()
         start = self.stack[-1][0] + 1 if self.stack else 0
         buf = self._buf(depth)
         capacity = list_extensions(
@@ -335,7 +261,7 @@ class _Searcher:
             self.cfg.max_multiplicity,
             buf,
         )
-        if not replaying and self.size + capacity < self._needed(depth):
+        if not replaying and self.size + capacity < self._needed():
             return
         forced = replay[0] if replaying else None
         sup = self.sup
@@ -535,8 +461,6 @@ def _finish(
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Run a search to completion (or its node limit) and package results."""
-    if cfg.worker_count > 1:
-        return _parallel_search(cfg)
     s = _Searcher(cfg)
     s.run()
     return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
@@ -548,7 +472,7 @@ def resume_search(
     checkpoint_path: str | None = None,
     checkpoint_interval: int = _CKPT_INTERVAL,
 ) -> SearchResult:
-    """Continue a single-worker search from a checkpoint file.
+    """Continue a search from a checkpoint file.
 
     The search configuration comes from the checkpoint.  A nonzero node
     limit is a fresh budget for this run (0 = no limit); the stored run
@@ -562,7 +486,6 @@ def resume_search(
         target=state["target"],
         prove_k=state["prove_k"],
         node_limit=state["nodes"] + node_limit if node_limit else 0,
-        worker_count=1,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
     )
@@ -588,76 +511,6 @@ def resume_search(
     # rebuild geometry along the prefix without counting those nodes
     s.run(replay)
     return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
-
-
-# -- parallel driver
-
-
-def _worker_main(cfg, wid, shared, queue):
-    try:
-        s = _Searcher(cfg)
-        s.wid = wid
-        s.shared_best, s.shared_nodes, s.found_key = shared
-        s.run()
-        payload = {
-            "wid": wid,
-            "nodes": s.nodes,
-            "witnesses": s.witnesses,
-            "found": s.found_witness,
-            "key": s.key,
-            "completed": s.completed,
-        }
-        queue.put(payload)
-    except BaseException as exc:  # surface worker crashes to the parent
-        queue.put({"wid": wid, "error": repr(exc)})
-
-
-def _parallel_search(cfg: SearchConfig) -> SearchResult:
-    ctx = mp.get_context("fork")
-    shared = (
-        ctx.Value("q", -1, lock=False),  # best size hint
-        ctx.Value("q", 0, lock=True),  # nodes counted
-        ctx.Value("q", _NO_FIND, lock=True),  # smallest prove-find key
-    )
-    queue = ctx.Queue()
-    workers = [
-        ctx.Process(target=_worker_main, args=(cfg, wid, shared, queue))
-        for wid in range(cfg.worker_count)
-    ]
-    for w in workers:
-        w.start()
-    reported: dict[int, dict] = {}
-    try:
-        while len(reported) < len(workers):
-            exited = [wid for wid, w in enumerate(workers) if w.exitcode is not None]
-            try:
-                p = queue.get(timeout=_WORKER_POLL_S)
-            except Empty:
-                # a worker that had exited before this wait began has
-                # nothing left in flight, so it died without reporting
-                for wid in exited:
-                    if wid not in reported:
-                        raise SearchError(
-                            f"worker {wid} exited with code "
-                            f"{workers[wid].exitcode} before reporting"
-                        ) from None
-                continue
-            reported[p["wid"]] = p
-    finally:
-        for w in workers:
-            if len(reported) < len(workers):
-                w.terminate()
-            w.join()
-    payloads = list(reported.values())
-    errors = [p["error"] for p in payloads if "error" in p]
-    if errors:
-        raise SearchError(f"worker failed: {errors[0]}")
-    nodes = sum(p["nodes"] for p in payloads)
-    snaps = [snap for p in payloads for snap in p["witnesses"]]
-    first = min(payloads, key=lambda p: p["key"])
-    found = first["found"]
-    completed = found is not None or all(p["completed"] for p in payloads)
-    return _finish(cfg, snaps, nodes, completed, found)
 
 
 # -- convenience wrappers

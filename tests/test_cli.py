@@ -21,6 +21,7 @@ from rainbowfree.constructions import (
     t_star,
 )
 from rainbowfree.family import (
+    MAX_VERTICES,
     MULTISET,
     SET,
     family_from_triangles,
@@ -231,6 +232,21 @@ def test_large_n_within_memory_cap(tmp_path):
     path = save(tmp_path, "huge.trifam", family_from_triangles(200_000, [(0, 1, 2)]))
     proc = _run_capped(["check", path])
     assert proc.returncode == LIMIT and proc.stderr == "error: out of memory\n"
+    # canon needs no count matrix; its maps grow only linearly in n
+    proc = _run_capped(["canon", path])
+    assert proc.returncode == OK, proc.stderr
+    assert proc.stdout.splitlines()[2:] == ["n 200000", "0 1 2"]
+    # past MAX_VERTICES the packed member codes would overflow, so every
+    # command refuses the file as it is read: no traceback, no hang
+    for n, members in ((4_000_000_000, "0 1 2\n"), (10**20, "")):
+        path = tmp_path / f"vast-{n}.trifam"
+        path.write_text(f"trifam 1\nmode set\nn {n}\n{members}")
+        for cmd in ("check", "certify", "canon"):
+            proc = _run_capped([cmd, str(path)])
+            assert proc.returncode == LIMIT, (cmd, n, proc.stderr)
+            assert proc.stderr == (
+                f"error: {path}: vertex count must be <= {MAX_VERTICES}, got {n}\n"
+            ), (cmd, n)
 
 
 # -- search
@@ -326,7 +342,7 @@ def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys):
     assert err.startswith("error: ") and "integer" in err
 
 
-def test_search_flag_validation(capsys):
+def test_search_flag_validation(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["search"])
     assert code == USAGE and "--n" in err
     code, _, err = run_cli(
@@ -335,8 +351,13 @@ def test_search_flag_validation(capsys):
     assert code == USAGE and "mutually exclusive" in err
     code, _, err = run_cli(capsys, ["search", "--n", "2"])
     assert code == USAGE and "n >= 3" in err
-    code, _, err = run_cli(capsys, ["search", "--n", "6", "--workers", "0"])
-    assert code == USAGE and "worker count must be at least 1" in err
+    # the search runs in one process: there is no worker count to set
+    code, _, err = run_cli(capsys, ["search", "--n", "6", "--workers", "2"])
+    assert code == USAGE and "unrecognized arguments: --workers" in err
+    cfg = tmp_path / "workers.cfg"
+    cfg.write_text("workers = 2\n")
+    code, _, err = run_cli(capsys, ["search", "--n", "6", "--config", str(cfg)])
+    assert code == USAGE and "unknown key 'workers'" in err
     code, _, err = run_cli(
         capsys, ["search", "--n", "6", "--checkpoint-interval", "0"]
     )

@@ -12,7 +12,6 @@ from rainbowfree.constructions import (
     double,
     doubled_nine,
     doubled_nine_support,
-    find_doubled_support,
     is_tstar_family,
     pair_family,
     t_star,
@@ -110,17 +109,6 @@ def test_doubled_nine_is_rainbow_free_size_12():
     assert all(m == 2 for _, m in d.members)
     assert not has_rainbow(d)
     assert not brute_has_rainbow(d)
-
-
-def test_find_doubled_support_regenerates_the_constant():
-    found = find_doubled_support(9, 6)
-    assert found is not None
-    assert found.support == DOUBLED_9_SUPPORT
-
-
-def test_find_doubled_support_infeasible_size():
-    # 7 edge-disjoint triangles need 21 edges; K6 only has 15
-    assert find_doubled_support(6, 7) is None
 
 
 def test_is_tstar_family_matches_isomorphism():

@@ -5,14 +5,14 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 
-from rainbowfree.canon import canonical_form, canonical_relabeling
+from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
+from rainbowfree.constructions import doubled_nine, pair_family
 from rainbowfree.family import MULTISET, SET, family_from_triangles
 from rainbowfree.rainbow import family_state, find_rainbow, has_rainbow
+from rainbowfree.rs import check_t2_constraints, decompose
 from rainbowfree.search import (
     SearchConfig,
     SearchError,
@@ -120,73 +120,52 @@ def test_enumerate_n8_unique_class():
     assert r.best_size == 8 and r.extremal_class_count == 1
 
 
-def test_worker_count_does_not_change_results():
-    base_max = max_family(7)
-    base_enum = enumerate_extremal(7)
-    base_prove = prove_size(8, 8)
-    for wc in (2, 3, 4):
-        assert _result_key(max_family(7, worker_count=wc)) == _result_key(base_max)
-        e = enumerate_extremal(7, worker_count=wc)
-        assert _result_key(e) == _result_key(base_enum)
-        assert e.extremal_class_count == base_enum.extremal_class_count
-        p = prove_size(8, 8, worker_count=wc)
-        assert p.found and p.witnesses[0].members == base_prove.witnesses[0].members
+def test_set_census_is_the_pair_families():
+    # Gyori's extremal families at n = 4..10: the pair families with
+    # p * (n - 2p) = floor(n^2 / 8), one class per such p
+    counts = []
+    for n in range(4, 11):
+        r = enumerate_extremal(n)
+        assert r.completed and r.best_size == n * n // 8
+        pairs = {
+            canonical_form(pair_family(n, p, n - 2 * p))
+            for p in range(1, n // 2)
+            if p * (n - 2 * p) == n * n // 8
+        }
+        assert {canonical_form(f) for f in r.witnesses} == pairs, n
+        counts.append(r.extremal_class_count)
+    assert counts == [1, 1, 2, 1, 1, 1, 2]
+
+
+def test_multiset_census():
+    sizes, counts = [], []
+    for n in range(4, 10):
+        r = enumerate_extremal(n, mode=MULTISET)
+        assert r.completed
+        sizes.append(r.best_size)
+        counts.append(r.extremal_class_count)
+        for w in r.witnesses:
+            ok, notes = check_t2_constraints(decompose(w), w)
+            assert ok, (n, w.members, notes)
+    assert sizes == [2, 4, 4, 6, 8, 12]
+    assert counts == [2, 1, 6, 4, 2, 1]
+    # the unique class at n = 9 beats floor(81 / 8) = 10 by doubling
+    assert are_isomorphic(r.witnesses[0], doubled_nine())
 
 
 def test_repeat_runs_are_identical():
-    a = enumerate_extremal(6, worker_count=2)
-    b = enumerate_extremal(6, worker_count=2)
+    a = enumerate_extremal(6)
+    b = enumerate_extremal(6)
     assert _result_key(a) == _result_key(b)
     assert a.nodes_explored == b.nodes_explored
-
-
-DEAD_WORKER = """
-import os
-import rainbowfree.search as search
-search._worker_main = lambda *args: os._exit(9)
-try:
-    search.max_family(7, worker_count=2)
-except search.SearchError as exc:
-    print(exc)
-"""
-
-
-def test_dead_worker_raises_instead_of_hanging():
-    # a subprocess, so that a regression fails on the timeout instead of
-    # hanging the suite
-    proc = subprocess.run(
-        [sys.executable, "-c", DEAD_WORKER], capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "exited with code 9 before reporting" in proc.stdout
-    assert proc.stdout.startswith("worker ")
-
-
-@pytest.mark.parametrize("n,mode", [(5, SET), (6, SET), (7, SET), (8, SET),
-                                    (6, MULTISET), (7, MULTISET)])
-def test_parallel_prove_returns_single_worker_witness(n, mode):
-    # k = 0 and 1 are found above the slot depth; larger k inside slots,
-    # where a worker must stop once an earlier slot has a find
-    m = max_family(n, mode=mode).best_size
-    for k in range(m + 2):
-        base = prove_size(n, k, mode=mode)
-        for wc in (2, 3):
-            r = prove_size(n, k, mode=mode, worker_count=wc)
-            assert r.completed and r.found == base.found, (k, wc)
-            assert [w.members for w in r.witnesses] == [
-                w.members for w in base.witnesses
-            ], (k, wc)
 
 
 def test_node_limit_stops_early():
     r = max_family(7, node_limit=8)
     assert not r.completed and r.nodes_explored == 8
-    r = max_family(7, node_limit=8, worker_count=2)
-    assert not r.completed
-    # refuting k = 9 at n = 8 takes 43 nodes, far past what two workers
-    # count before one of them stops at the limit
-    r = prove_size(8, 9, node_limit=3, worker_count=2)
-    assert not r.completed and r.found is None
+    # refuting k = 9 at n = 8 takes 43 nodes
+    r = prove_size(8, 9, node_limit=3)
+    assert not r.completed and r.found is None and r.nodes_explored == 3
 
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):
@@ -290,10 +269,6 @@ def test_config_validation():
         SearchConfig(n=5, target="count")
     with pytest.raises(SearchError):
         SearchConfig(n=5, node_limit=-1)
-    with pytest.raises(SearchError):
-        SearchConfig(n=5, worker_count=0)
-    with pytest.raises(SearchError):
-        SearchConfig(n=5, checkpoint_path="x", worker_count=2)
     with pytest.raises(SearchError):
         SearchConfig(n=5, checkpoint_interval=0)
 
