@@ -111,6 +111,39 @@ for name, fam, reps in (
             + f" canon {is_canonical(rf)} {is_canonical(image)}"
         )
 
+# certifier reports, plain and porcelain, pinned byte for byte
+hub = family_from_triangles(
+    15, [(0, 1, 2)] + [(v, 3 + 2 * k, 4 + 2 * k) for k, v in enumerate((0, 0, 1, 1, 2, 2))]
+)
+reports = [
+    ("t16", t_star(16)),
+    ("p7-2-3", pair_family(7, 2, 3)),
+    ("p20-3-8", pair_family(20, 3, 8)),
+    ("d9", doubled_nine()),
+    ("hub", hub),
+]
+# greedy random rainbow-free families: members taken in shuffled order
+# while the family stays rainbow-free
+rng = random.Random(20223)
+for i in range(20):
+    n = rng.randint(4, 10)
+    mode = MULTISET if i % 2 else SET
+    tris = list(itertools.combinations(range(n), 3))
+    rng.shuffle(tris)
+    members = []
+    for t in tris[: rng.randint(1, len(tris))]:
+        item = t + (rng.randint(1, 2) if mode == MULTISET else 1,)
+        if find_rainbow(family_from_triangles(n, members + [item], mode)) is None:
+            members.append(item)
+    reports.append((f"rand{i}", family_from_triangles(n, members, mode)))
+for name, fam in reports:
+    r = certify(fam)
+    for kind, porcelain in (("plain", False), ("porc", True)):
+        out.append(
+            f"certify-{name}-{kind} "
+            + render_report(r, porcelain=porcelain).replace("\n", "|")
+        )
+
 sys.stdout.write("\n".join(out) + "\n")
 """
 
