@@ -1,12 +1,13 @@
 """Certifying checks for rainbow-free families.
 
 Given a rainbow-free family, this module recomputes the counting
-argument that bounds its size: split the vertices into a maximum
-independent set A of the union graph and its complement B, assign every
-member a B-edge (beta), and verify the degree identity, the per-vertex
-bound via explicit independent witness sets, and the master chain
-2|T| <= |A||B| <= n^2/4. For families of the extremal size n^2/8 it
-additionally checks the structural facts that force the family to be
+argument that bounds its size. It builds the union graph once, splits
+the vertices into a maximum independent set A of it and the rest B,
+assigns every member a B-edge (beta) with each edge's preimage, and
+builds a witness set per B-vertex from those preimages. One d-sum per
+B-vertex gives the degree identity and the per-vertex bound; the master
+chain 2|T| <= |A||B| <= n^2/4 follows. For families of the extremal size
+n^2/8 it also checks the structural facts that force the family to be
 t_star: no member inside B, the four colored-multigraph properties, and
 the matched-pairs decomposition.
 
@@ -65,10 +66,15 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class BetaAssignment:
-    """Choice of one B-edge per member, with preimage counts d."""
+    """Choice of one B-edge per member; preimage lists each edge's copies in order."""
 
     beta: dict[MemberRef, Edge]
-    d: dict[Edge, int]
+    preimage: dict[Edge, list[MemberRef]]
+
+    @property
+    def d(self) -> dict[Edge, int]:
+        """d(e) = |beta^-1(e)| for every E_B edge and every assigned edge."""
+        return {e: len(refs) for e, refs in self.preimage.items()}
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,7 @@ def _member_edges_in_b(t: tuple[int, int, int], b_set: set[int]) -> list[Edge]:
     return [e for e in triangle_edges(t) if e[0] in b_set and e[1] in b_set]
 
 
-def build_beta(f: TriangleFamily, p: Bipartition) -> BetaAssignment:
+def build_beta(f: TriangleFamily, g: UnionGraph, p: Bipartition) -> BetaAssignment:
     """Assign each member one of its edges lying inside B.
 
     A member with a single B-edge takes it. A member entirely inside B
@@ -203,10 +209,9 @@ def build_beta(f: TriangleFamily, p: Bipartition) -> BetaAssignment:
     is at most one in a rainbow-free family), otherwise its
     lexicographically least B-edge.
     """
-    g = union_graph(f)
     b_set = set(p.b)
     beta: dict[MemberRef, Edge] = {}
-    d: dict[Edge, int] = {e: 0 for e in p.e_b}
+    preimage: dict[Edge, list[MemberRef]] = {e: [] for e in p.e_b}
     for ref, t in f.member_copies():
         inside = _member_edges_in_b(t, b_set)
         if not inside:
@@ -223,22 +228,12 @@ def build_beta(f: TriangleFamily, p: Bipartition) -> BetaAssignment:
                 )
             pick = shared[0] if shared else min(inside)
         beta[ref] = pick
-        d[pick] = d.get(pick, 0) + 1
-    return BetaAssignment(beta, d)
-
-
-def check_eq1(f: TriangleFamily, p: Bipartition, beta: BetaAssignment) -> tuple[bool, int]:
-    """Each member is counted by d at one edge, hence at two B-vertices."""
-    total = 0
-    for b in p.b:
-        for e in p.e_b:
-            if b in e:
-                total += beta.d.get(e, 0)
-    return total == 2 * f.size, total
+        preimage.setdefault(pick, []).append(ref)
+    return BetaAssignment(beta, preimage)
 
 
 def build_witness(
-    f: TriangleFamily, p: Bipartition, beta: BetaAssignment, b: Vertex
+    f: TriangleFamily, g: UnionGraph, p: Bipartition, beta: BetaAssignment, b: Vertex
 ) -> IndependentWitness:
     """Independent set with one vertex per (edge at b, contributing member).
 
@@ -246,15 +241,14 @@ def build_witness(
     several contributors each picks its own vertex outside e. Distinct
     picks and independence are verified, not assumed.
     """
-    if b not in set(p.b):
+    if b not in p.b:
         raise CertifierError(f"witness vertex {b} is not in B")
-    g = union_graph(f)
     members = dict(f.member_copies())
     picks: dict[Vertex, MemberRef] = {}
     for e in p.e_b:
         if b not in e:
             continue
-        contributors = [ref for ref, pe in beta.beta.items() if pe == e]
+        contributors = beta.preimage.get(e, [])
         for ref in contributors:
             t = members[ref]
             if len(contributors) == 1:
@@ -280,19 +274,24 @@ def build_witness(
     return IndependentWitness(b, i_b, picks)
 
 
-def check_eq2(
+def check_degree_sums(
     f: TriangleFamily, p: Bipartition, beta: BetaAssignment
-) -> tuple[bool, tuple[tuple[Vertex, int, bool], ...]]:
-    """Per B-vertex: the d-sum over incident B-edges is at most |A|."""
+) -> tuple[bool, int, bool, tuple[tuple[Vertex, int, bool], ...]]:
+    """Sum d over the E_B edges at each B-vertex, once, for eq1 and eq2.
+
+    eq1: the sums total 2*size (each member counts at both ends of its
+    edge). eq2: each sum is at most |A|. Rows are (b, sum, sum == |A|).
+    """
+    d = beta.d
+    sums = {b: 0 for b in p.b}
+    for e in p.e_b:
+        for v in e:
+            if v in sums:
+                sums[v] += d.get(e, 0)
     limit = len(p.a)
-    rows = []
-    ok = True
-    for b in p.b:
-        s = sum(beta.d.get(e, 0) for e in p.e_b if b in e)
-        rows.append((b, s, s == limit))
-        if s > limit:
-            ok = False
-    return ok, tuple(rows)
+    rows = tuple((b, sums[b], sums[b] == limit) for b in p.b)
+    total = sum(s for _, s, _ in rows)
+    return total == 2 * f.size, total, all(s <= limit for _, s, _ in rows), rows
 
 
 def check_master_chain(
@@ -442,10 +441,9 @@ def certify(f: TriangleFamily, mis_limit: int = MIS_VERTEX_LIMIT) -> CertifierRe
         support = family_from_triangles(f.n, list(f.support), SET)
     g = union_graph(support)
     p = bipartition(g, mis_limit)
-    beta = build_beta(support, p)
-    eq1_ok, eq1_val = check_eq1(support, p, beta)
-    witnesses = tuple(build_witness(support, p, beta, b) for b in p.b)
-    eq2_ok, eq2_rows = check_eq2(support, p, beta)
+    beta = build_beta(support, g, p)
+    witnesses = tuple(build_witness(support, g, p, beta, b) for b in p.b)
+    eq1_ok, eq1_val, eq2_ok, eq2_rows = check_degree_sums(support, p, beta)
     chain_ok, chain_vals = check_master_chain(support, p)
     step1 = check_step1(support, p)
     tb_props: tuple[bool, bool, bool, bool] | None = None

@@ -18,8 +18,7 @@ from rainbowfree.certifier import (
     build_tb,
     build_witness,
     certify,
-    check_eq1,
-    check_eq2,
+    check_degree_sums,
     check_master_chain,
     check_matched_pairs,
     check_step1,
@@ -65,8 +64,9 @@ def test_bipartition_t_star8():
 
 def test_beta_prefers_the_shared_b_edge():
     f = t_star(8)
-    p = bipartition(union_graph(f))
-    beta = build_beta(f, p)
+    g = union_graph(f)
+    p = bipartition(g)
+    beta = build_beta(f, g, p)
     # every member projects to its pair edge, four copies each
     assert sorted(beta.d.items()) == [((0, 1), 4), ((2, 3), 4)]
     assert all(e in ((0, 1), (2, 3)) for e in beta.beta.values())
@@ -77,7 +77,7 @@ def test_beta_requires_a_b_edge():
     f = family_from_triangles(4, [(0, 1, 2), (0, 1, 3)])
     p = Bipartition(a=(0, 3), b=(1, 2), e_b=((1, 2),))
     with pytest.raises(CertifierError):
-        build_beta(f, p)
+        build_beta(f, union_graph(f), p)
 
 
 def test_eq1_counts_every_copy_twice():
@@ -85,18 +85,20 @@ def test_eq1_counts_every_copy_twice():
         support = f if f.mode == "set" else family_from_triangles(
             f.n, list(f.support), "set"
         )
-        p = bipartition(union_graph(support))
-        beta = build_beta(support, p)
-        ok, value = check_eq1(support, p, beta)
+        g = union_graph(support)
+        p = bipartition(g)
+        beta = build_beta(support, g, p)
+        ok, value, _, _ = check_degree_sums(support, p, beta)
         assert ok and value == 2 * support.size
 
 
 def test_witnesses_on_t_star8():
     f = t_star(8)
-    p = bipartition(union_graph(f))
-    beta = build_beta(f, p)
+    g = union_graph(f)
+    p = bipartition(g)
+    beta = build_beta(f, g, p)
     for b in p.b:
-        w = build_witness(f, p, beta, b)
+        w = build_witness(f, g, p, beta, b)
         assert len(w.i_b) == sum(beta.d.get(e, 0) for e in p.e_b if b in e)
         assert set(w.i_b) <= set(p.a)
 
@@ -105,27 +107,30 @@ def test_witness_pick_collision_on_doubled_member():
     # both copies of the doubled member contribute to (1,2) and both
     # pick the outside vertex 6
     f = family_from_triangles(7, [(1, 2, 6, 2)], MULTISET)
+    g = union_graph(f)
     p = Bipartition(a=(0, 3, 4, 5, 6), b=(1, 2), e_b=((1, 2),))
-    beta = build_beta(f, p)
+    beta = build_beta(f, g, p)
     assert beta.d[(1, 2)] == 2
     with pytest.raises(CertifierError, match="collide"):
-        build_witness(f, p, beta, 1)
+        build_witness(f, g, p, beta, 1)
 
 
 def test_witness_dependence_is_reported():
     # picks 2 and 3 for b=1 are joined by the edge of member (0,2,3)
     f = family_from_triangles(7, [(1, 2, 5), (1, 3, 6), (0, 2, 3)])
+    g = union_graph(f)
     p = Bipartition(a=(0, 4, 5, 6), b=(1, 2, 3), e_b=((1, 2), (1, 3), (2, 3)))
-    beta = build_beta(f, p)
+    beta = build_beta(f, g, p)
     with pytest.raises(CertifierError, match="not independent"):
-        build_witness(f, p, beta, 1)
+        build_witness(f, g, p, beta, 1)
 
 
 def test_eq2_rows_track_tightness():
     f = t_star(8)
-    p = bipartition(union_graph(f))
-    beta = build_beta(f, p)
-    ok, rows = check_eq2(f, p, beta)
+    g = union_graph(f)
+    p = bipartition(g)
+    beta = build_beta(f, g, p)
+    _, _, ok, rows = check_degree_sums(f, p, beta)
     assert ok
     assert rows == ((0, 4, True), (1, 4, True), (2, 4, True), (3, 4, True))
 
