@@ -16,6 +16,7 @@ from .family import (
     Triangle,
     TriangleFamily,
     TrifamError,
+    check_vertex_limit,
     family_from_triangles,
     union_graph,
 )
@@ -27,6 +28,7 @@ def pair_family(n: int, pairs: int, apexes: int) -> TriangleFamily:
     Pairs are {0,1}, {2,3}, ... and apexes are the last `apexes`
     vertices of range(n), so 2*pairs + apexes must be at most n.
     """
+    check_vertex_limit(n)
     if pairs < 1 or apexes < 1:
         raise TrifamError("need at least one pair and one apex")
     if 2 * pairs + apexes > n:

@@ -38,6 +38,12 @@ class VertexLimitError(TrifamError):
     """A family on more than MAX_VERTICES vertices."""
 
 
+def check_vertex_limit(n: int) -> None:
+    """Raise VertexLimitError when n is above MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise VertexLimitError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
+
+
 def edge(u: int, v: int) -> Edge:
     if u == v:
         raise TrifamError(f"degenerate edge ({u}, {v})")
@@ -72,10 +78,7 @@ class TriangleFamily:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise TrifamError(f"vertex count must be >= 1, got {self.n}")
-        if self.n > MAX_VERTICES:
-            raise VertexLimitError(
-                f"vertex count must be <= {MAX_VERTICES}, got {self.n}"
-            )
+        check_vertex_limit(self.n)
         if self.mode not in MODES:
             raise TrifamError(f"unknown mode {self.mode!r}")
         seen: set[Triangle] = set()

@@ -247,6 +247,18 @@ def test_large_n_within_memory_cap(tmp_path):
             assert proc.stderr == (
                 f"error: {path}: vertex count must be <= {MAX_VERTICES}, got {n}\n"
             ), (cmd, n)
+    # the constructions refuse such n before building a single member
+    n = 2_000_000
+    for argv in (
+        ["construct", "tstar", "--n", str(n)],
+        ["construct", "pairs", "--n", str(n), "--pairs", "500000", "--apexes", "1000000"],
+    ):
+        proc = _run_capped(argv)
+        assert proc.returncode == LIMIT, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: vertex count must be <= {MAX_VERTICES}, got {n}\n"
+        ), argv
 
 
 # -- search
