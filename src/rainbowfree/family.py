@@ -192,7 +192,7 @@ def parse_family(data: str | bytes) -> TriangleFamily:
         mult = 1
         if len(parts) == 4:
             suffix = parts.pop()
-            if not (len(suffix) >= 2 and suffix[0] == "x" and suffix[1:].isdigit()):
+            if not (len(suffix) >= 2 and suffix[0] == "x" and suffix[1:].isdecimal()):
                 raise TrifamError(f"bad multiplicity suffix {suffix!r} on line {line!r}")
             mult = int(suffix[1:])
         if len(parts) != 3:

@@ -127,6 +127,8 @@ def test_parse_accepts_bytes():
         "trifam 1\nmode set\nn 4\n0 1 x\n",
         "trifam 1\nmode set\nn 4\n0 1 2 y2\n",
         "trifam 1\nmode set\nn 4\n0 1 2 x2\n",
+        # a digit int() cannot read: a ValueError traceback before the fix
+        "trifam 1\nmode multiset\nn 4\n0 1 2 x\u00b2\n",
         "trifam 1\nmode set\nn 4\n0 a 2\n",
         "trifam 1\nmode set\nn 3\n0 1 3\n",
     ],
