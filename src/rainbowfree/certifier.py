@@ -241,7 +241,7 @@ def build_witness(
     several contributors each picks its own vertex outside e. Distinct
     picks and independence are verified, not assumed.
     """
-    if b not in p.b:
+    if b not in set(p.b):
         raise CertifierError(f"witness vertex {b} is not in B")
     members = dict(f.member_copies())
     picks: dict[Vertex, MemberRef] = {}
