@@ -182,7 +182,7 @@ def test_resume_search_raises_only_search_or_trifam_error(
             lines[i] = new
         elif kind == "insert":
             lines.insert(i, new)
-        elif kind == "delete" and len(lines) > 1:
+        elif kind == "delete":
             del lines[i]
         else:
             lines.insert(i, lines[i])
