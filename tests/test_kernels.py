@@ -96,6 +96,8 @@ for name, fam, reps in (
     ("t8", t_star(8), 3),
     ("d9", doubled_nine(), 3),
     ("t12", t_star(12), 1),
+    ("t12x", t_star(12), 3),
+    ("t16", t_star(16), 1),
 ):
     for j in range(reps):
         perm = list(range(fam.n))
@@ -110,6 +112,28 @@ for name, fam, reps in (
             + ",".join(str(mapping[v]) for v in range(fam.n))
             + f" canon {is_canonical(rf)} {is_canonical(image)}"
         )
+
+# low-symmetry inputs, where the labeling DFS lowers its best sequence
+# many times: greedy random rainbow-free families with 5..10 members
+rng = random.Random(20224)
+for i in range(40):
+    n = rng.randint(9, 11)
+    want = rng.randint(5, 10)
+    tris = list(itertools.combinations(range(n), 3))
+    rng.shuffle(tris)
+    members = []
+    for t in tris:
+        if len(members) == want:
+            break
+        if find_rainbow(family_from_triangles(n, members + [t])) is None:
+            members.append(t)
+    rf = family_from_triangles(n, members)
+    mapping, image = canonical_relabeling(rf)
+    out.append(
+        f"low{i} {canonical_form(rf).hex()} map "
+        + ",".join(str(mapping[v]) for v in range(n))
+        + f" canon {is_canonical(rf)} {is_canonical(image)}"
+    )
 
 # certifier reports, plain and porcelain, pinned byte for byte
 hub = family_from_triangles(
