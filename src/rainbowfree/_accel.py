@@ -201,50 +201,150 @@ def _orbit_root(par, x):
 
 
 @_jit
+def _bounds(ta, tb, tc, tm, lab, nass, r, vec):
+    """Fill vec with the sorted per-member code bounds; return the least
+    bound of an undetermined member (_INF when every member is determined).
+
+    A member whose three vertices are labeled has its exact code.  The
+    others give their unlabeled slots the smallest fresh labels nass,
+    nass + 1, ..., which exceed every assigned label, so each bound is at
+    most the member's code in any completion.  Sorting keeps that
+    componentwise, so vec is at most the final sorted code sequence of
+    every completion, and its entries below the returned bound are final.
+    """
+    lb = _INF
+    for i in range(ta.shape[0]):
+        fresh = nass
+        x0 = lab[ta[i]]
+        if x0 < 0:
+            x0 = fresh
+            fresh += 1
+        x1 = lab[tb[i]]
+        if x1 < 0:
+            x1 = fresh
+            fresh += 1
+        x2 = lab[tc[i]]
+        if x2 < 0:
+            x2 = fresh
+            fresh += 1
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if x1 > x2:
+            x1, x2 = x2, x1
+            if x0 > x1:
+                x0, x1 = x1, x0
+        code = ((x0 * r + x1) * r + x2) * 4 + tm[i]
+        vec[i] = code
+        if fresh > nass and code < lb:
+            lb = code
+    vec.sort()
+    return lb
+
+
+@_jit
+def _first_diff(a, b):
+    """First index where a and b differ, their length when equal."""
+    j = 0
+    while j < a.shape[0] and a[j] == b[j]:
+        j += 1
+    return j
+
+
+@_jit
+def _dive(ta, tb, tc, tm, sup, r, lab, choice, level, vec, best, bpath, out_lab):
+    """Complete a partial labeling greedily; its codes become best.
+
+    lab holds labels 0..level-1, on positions choice[0..level-1]; when
+    level is s the labeling is complete and vec holds its codes.  Each
+    further label goes to the unused position whose sorted bound vector
+    is lexicographically least, the first such position on ties.  The
+    complete labeling's codes go to best, its path (position by label)
+    to bpath and its labels to out_lab; lab is left unchanged.
+    """
+    k = ta.shape[0]
+    s = sup.shape[0]
+    out_lab[:] = lab
+    bpath[:level] = choice[:level]
+    if level == s:
+        best[:] = vec
+    for l in range(level, s):
+        pick = -1
+        for c in range(s):
+            if out_lab[sup[c]] >= 0:
+                continue
+            out_lab[sup[c]] = l
+            _bounds(ta, tb, tc, tm, out_lab, l + 1, r, vec)
+            out_lab[sup[c]] = -1
+            j = _first_diff(vec, best)
+            if pick < 0 or (j < k and vec[j] < best[j]):
+                best[:] = vec
+                pick = c
+        out_lab[sup[pick]] = l
+        bpath[l] = pick
+
+
+@_jit
 def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     """Walk labelings of the support, comparing sorted member codes to best.
 
     ta/tb/tc/tm are the member vertex columns and multiplicities; sup
-    lists the support vertices ascending.  Every injection of the support
-    onto labels 0..s-1 is tried by DFS, and a branch is cut as soon as a
-    determined prefix of its sorted code sequence shows it cannot end
-    strictly below best.  With stop=1, returns 1 at the first labeling
-    strictly below best.  With stop=0, each complete labeling strictly
-    below best replaces it, codes in best and the label of every vertex
-    in out_lab (-1 off the support), so best ends as the minimum and ties
-    keep the earlier labeling.  Returns 0 when no labeling beats the seed.
+    lists the support vertices ascending.  Labelings are injections of
+    the support onto labels 0..s-1, walked by DFS in position order
+    (label 0 to each support position in turn, then label 1, ...).  A
+    branch is cut as soon as its sorted bound vector (see _bounds) is
+    lexicographically above best, which every completion then is too.
+
+    With stop=1, best holds the identity's codes, and the walk returns 1
+    at the first node whose final codes are certain to end strictly below
+    them; otherwise it returns 0.
+
+    With stop=0, best is output only, and the walk finds the minimal code
+    sequence and the first labeling in position order attaining it, whose
+    labels go to out_lab (-1 off the support), in three steps:
+    1. a greedy descent from the root (see _dive) seeds best and bpath,
+       the path of a labeling attaining best (bpath[l] is the position
+       labeled l);
+    2. the DFS lowers best to the minimum: at a node whose final codes are
+       certain to end strictly below best it dives again from that node,
+       so best drops to a good labeling at once instead of to the first
+       labeling in position order below it;
+    3. a complete labeling that ties best and comes before bpath in
+       position order replaces bpath and out_lab, so they end as the first
+       minimal labeling, whatever labeling the dives found.
+    Returns 0.
 
     Automorphism pruning (McKay 1981; McKay and Piperno 2014): a leaf
-    that ties best is the best labeling composed with an automorphism,
+    that ties best is the bpath labeling composed with an automorphism,
     stored as a permutation of support positions.  A sibling is skipped
     when its orbit, under the stored automorphisms that fix the assigned
-    prefix pointwise, holds a smaller position, and after a tie the DFS
-    jumps back to the level where the tie's path left the best path.
-    Each skipped subtree is the image of an explored one under an
+    prefix pointwise, holds a smaller position, and after a tie with an
+    earlier bpath the DFS jumps back to the level where the two paths
+    part.  Each skipped subtree is the image of an explored one under an
     automorphism fixing the prefix, so it has the same code sequences at
-    every node: it can only tie, and ties keep the earlier labeling.
-    best, out_lab and the return value are therefore the same as without
-    pruning.
+    every node and comes later in position order: it can only tie, and
+    ties keep the earlier labeling.  best, out_lab and the return value
+    are therefore the same as without pruning.
     """
     k = ta.shape[0]
     s = sup.shape[0]
     if k == 0 or s == 0:
         return 0
-    r = n + 2  # exceeds every label, including the fresh ones below
+    r = n + 2  # exceeds every label, including the fresh ones
     lab = np.full(n, -1, np.int64)
     used = np.zeros(s, np.uint8)
     choice = np.full(s, -1, np.int64)
-    det = np.empty(k, np.int64)
-    # bpath[l]: position labeled l in the best labeling; with stop=1 the
-    # seed is the identity, which a leaf can only tie when sup is 0..s-1
+    vec = np.empty(k, np.int64)
+    # with stop=1 the seed path is the identity, which a leaf can only tie
+    # when sup is 0..s-1, and then this path attains best
     bpath = np.arange(s)
+    if stop == 0:
+        _dive(ta, tb, tc, tm, sup, r, lab, choice, 0, vec, best, bpath, out_lab)
     gens = np.empty((2 * s + 8, s), np.int64)
     ngen = 0
     # per level: orbit forest of the stored automorphisms fixing the
     # prefix, and how many of them it has absorbed (-1: not built)
     par = np.empty((s, s), np.int64)
     seen = np.full(s, -1, np.int64)
-    found = 0
     level = 0
     while level >= 0:
         prev = choice[level]
@@ -290,84 +390,45 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
         choice[level] = c
         used[c] = 1
         lab[sup[c]] = level
-        nass = level + 1
-        lb = _INF
-        ndet = 0
-        for i in range(k):
-            # unassigned slots take the smallest fresh labels, which exceed
-            # every assigned label
-            fresh = nass
-            x0 = lab[ta[i]]
-            if x0 < 0:
-                x0 = fresh
-                fresh += 1
-            x1 = lab[tb[i]]
-            if x1 < 0:
-                x1 = fresh
-                fresh += 1
-            x2 = lab[tc[i]]
-            if x2 < 0:
-                x2 = fresh
-                fresh += 1
-            if x0 > x1:
-                x0, x1 = x1, x0
-            if x1 > x2:
-                x1, x2 = x2, x1
-                if x0 > x1:
-                    x0, x1 = x1, x0
-            code = ((x0 * r + x1) * r + x2) * 4 + tm[i]
-            if fresh == nass:
-                det[ndet] = code
-                ndet += 1
-            elif code < lb:
-                lb = code
-        for ii in range(1, ndet):
-            key = det[ii]
-            jj = ii - 1
-            while jj >= 0 and det[jj] > key:
-                det[jj + 1] = det[jj]
-                jj -= 1
-            det[jj + 1] = key
-        p = 0
-        while p < ndet and det[p] < lb:
-            p += 1
-        # codes below lb are final; undetermined members cannot land there
-        cmp = 0
-        for ii in range(p):
-            if det[ii] != best[ii]:
-                cmp = -1 if det[ii] < best[ii] else 1
-                break
-        if cmp == 0 and p == k:
-            # a full tie: store the automorphism carrying this path onto
-            # the best path, then jump back to where the two paths part
+        lb = _bounds(ta, tb, tc, tm, lab, level + 1, r, vec)
+        j = _first_diff(vec, best)
+        if j < k:
+            if vec[j] > best[j]:
+                continue  # every completion is above best: next sibling
+            if vec[j] < lb:
+                # entries below lb are final, so every completion is
+                # strictly below best
+                if stop == 1:
+                    return 1
+                _dive(
+                    ta, tb, tc, tm, sup, r, lab, choice, level + 1, vec, best, bpath, out_lab
+                )
+        elif level == s - 1:
+            # a tie: store the automorphism carrying this path onto bpath
             d = 0
-            while d < nass and choice[d] == bpath[d]:
+            while d < s and choice[d] == bpath[d]:
                 d += 1
-            if nass == s and d < s:
-                if ngen < gens.shape[0]:
-                    for j in range(s):
-                        gens[ngen, choice[j]] = bpath[j]
-                    ngen += 1
+            if d == s:
+                continue
+            if ngen < gens.shape[0]:
+                for i in range(s):
+                    gens[ngen, choice[i]] = bpath[i]
+                ngen += 1
+            if choice[d] < bpath[d]:
+                # this labeling comes first in position order
+                out_lab[:] = lab
+                bpath[:] = choice
+            else:
+                # jump back to where the two paths part
                 while level > d:
                     used[choice[level]] = 0
                     lab[sup[choice[level]]] = -1
                     choice[level] = -1
                     level -= 1
             continue
-        # lb > best[p] means every completion exceeds best at position p
-        if cmp == 1 or (cmp == 0 and lb > best[p]):
-            continue  # advance to the next sibling
-        if stop == 1 and cmp == -1:
-            return 1
         if level < s - 1:
             level += 1
-        else:
-            # complete labeling, so p == k and cmp == -1
-            best[:] = det
-            out_lab[:] = lab
-            bpath[:] = choice
-            found = 1
-    return found
+    return 0
 
 
 @_jit
@@ -387,8 +448,10 @@ def min_labeling(ta, tb, tc, tm, sup, n, out_lab):
     """Fill out_lab with the labeling minimizing the sorted code sequence.
 
     out_lab[v] is the new label of support vertex v, -1 for vertices
-    outside the support.
+    outside the support.  Of the labelings attaining the minimum it is
+    the first in position order; the greedy dives that _label_dfs uses to
+    reach the minimum early do not change which one.
     """
     out_lab[:] = -1
-    best = np.full(ta.shape[0], _INF, np.int64)
+    best = np.empty(ta.shape[0], np.int64)
     _label_dfs(ta, tb, tc, tm, sup, n, best, 0, out_lab)

@@ -3,17 +3,27 @@
 Two families are isomorphic when some vertex bijection carries one member
 multiset onto the other (multiplicities included; mode labels do not
 matter).  The canonical form is the lexicographically least sorted member
-sequence over all relabelings.  canonical_relabeling and is_canonical both
-find it with the one labeling DFS in _accel, a backtracking search over
-label assignments that prunes on determined prefixes; the first seeks the
-minimum, the second stops at the first labeling below the identity.
+sequence over all relabelings, and the canonical map is the first
+labeling in position order that attains it (label 0 to the least possible
+support vertex, then label 1, and so on).  canonical_relabeling and
+is_canonical both use the one labeling DFS in _accel, a backtracking
+search over label assignments that cuts a branch once the sorted bounds
+of its member codes exceed the best sequence.  is_canonical stops at the
+first labeling below the identity.  canonical_relabeling finds the map in
+three steps: a greedy descent gives each label to the vertex whose bounds
+are least, which seeds the best sequence; the DFS lowers it to the
+minimum, diving greedily again wherever a branch is certain to beat it;
+and a labeling that ties the best one and comes earlier in position order
+takes its place.  The dives only decide how soon the minimum is known:
+the map is still the first minimal labeling in position order, so it
+does not depend on them.
 A labeling that ties the best one found so far exposes an automorphism;
 the DFS stores it and skips every later sibling choice lying in the orbit
 of an explored one, under the stored automorphisms that fix the labels
 already assigned.  Such a subtree mirrors an explored one code for code,
 so it could only produce ties, which never replace the earlier labeling:
 forms, maps and verdicts are exactly those of the unpruned search, and
-families with huge automorphism groups such as t_star(16) stay cheap.
+families with huge automorphism groups such as t_star(32) stay cheap.
 Support vertices always receive labels 0..s-1 in a canonical labeling;
 collapsing label gaps never increases the sequence.
 """

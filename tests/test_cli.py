@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from rainbowfree.canon import are_isomorphic
+from rainbowfree.canon import are_isomorphic, canonical_relabeling
 from rainbowfree.cli import FAIL, LIMIT, OK, USAGE, main
 from rainbowfree.constructions import (
     double,
@@ -458,14 +458,12 @@ def test_canon_normalizes_relabelings(tmp_path, capsys):
     assert are_isomorphic(parse_family(out_a), t_star(8))
 
 
-def test_canon_t_star_16_finishes():
-    # |Aut(t_star(16))| = 4! * 2^4 * 8! = 15,482,880; without automorphism
-    # pruning the labeling DFS walks every automorphic branch to a leaf
-    rng = random.Random(16)
-    perm = list(range(16))
+def _canon_relabeled_t_star(n):
+    rng = random.Random(n)
+    perm = list(range(n))
     rng.shuffle(perm)
     shuffled = family_from_triangles(
-        16, [tuple(sorted(perm[v] for v in t)) for t in t_star(16).support], SET
+        n, [tuple(sorted(perm[v] for v in t)) for t in t_star(n).support], SET
     )
     proc = subprocess.run(
         [sys.executable, "-m", "rainbowfree.cli", "canon", "-"],
@@ -476,6 +474,21 @@ def test_canon_t_star_16_finishes():
     )
     assert proc.returncode == OK, proc.stderr
     assert is_tstar_family(parse_family(proc.stdout))
+    return proc.stdout
+
+
+def test_canon_t_star_16_finishes():
+    # |Aut(t_star(16))| = 4! * 2^4 * 8! = 15,482,880; without automorphism
+    # pruning the labeling DFS walks every automorphic branch to a leaf
+    _canon_relabeled_t_star(16)
+
+
+def test_canon_t_star_32_finishes():
+    # a DFS that starts from no bound lowers its best sequence at almost
+    # every leaf it reaches; the greedy dives find the minimum at once
+    out = _canon_relabeled_t_star(32)
+    _, canonical = canonical_relabeling(t_star(32))
+    assert out == serialize_family(canonical)
 
 
 # -- config files
