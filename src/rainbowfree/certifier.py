@@ -243,14 +243,13 @@ def build_witness(
     """
     if b not in set(p.b):
         raise CertifierError(f"witness vertex {b} is not in B")
-    members = dict(f.member_copies())
     picks: dict[Vertex, MemberRef] = {}
     for e in p.e_b:
         if b not in e:
             continue
         contributors = beta.preimage.get(e, [])
         for ref in contributors:
-            t = members[ref]
+            t = f.members[ref[0]][0]
             if len(contributors) == 1:
                 v = e[0] if e[1] == b else e[1]
             else:
@@ -259,7 +258,7 @@ def build_witness(
                 other = picks[v]
                 raise CertifierError(
                     f"witness picks collide at vertex {v} (members "
-                    f"{members[other]} and {t}): would-be rainbow near "
+                    f"{f.members[other[0]][0]} and {t}): would-be rainbow near "
                     f"{tuple(sorted({b, v} | set(e)))}"
                 )
             picks[v] = ref
@@ -267,9 +266,10 @@ def build_witness(
     for i, u in enumerate(i_b):
         for v in i_b[i + 1 :]:
             if g.has_edge(u, v):
+                tu, tv = f.members[picks[u][0]][0], f.members[picks[v][0]][0]
                 raise CertifierError(
                     f"witness for {b} not independent: edge ({u},{v}) between "
-                    f"picks of {members[picks[u]]} and {members[picks[v]]}"
+                    f"picks of {tu} and {tv}"
                 )
     return IndependentWitness(b, i_b, picks)
 
@@ -336,14 +336,12 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
     """
     simple: set[Edge] = set()
     count: dict[Edge, int] = {}
-    deg: dict[Vertex, int] = {v: 0 for v in g.vertices}
-    colors: dict[Edge, list[Vertex]] = {}
+    at: dict[Vertex, list[tuple[Edge, Vertex]]] = {v: [] for v in g.vertices}
     for e, c in g.edges:
         simple.add(e)
         count[e] = count.get(e, 0) + 1
-        deg[e[0]] += 1
-        deg[e[1]] += 1
-        colors.setdefault(e, []).append(c)
+        at[e[0]].append((e, c))
+        at[e[1]].append((e, c))
 
     p1 = True
     verts = g.vertices
@@ -358,14 +356,12 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
 
     # 3-edge paths e1,e2,e3 on 4 distinct vertices: ends must differ in color
     p2 = True
-    edge_list = g.edges
-    for e2, _ in edge_list:
-        u, w = e2
-        for e1, c1 in edge_list:
-            if u not in e1 or w in e1:
+    for (u, w), _ in g.edges:
+        for e1, c1 in at[u]:
+            if w in e1:
                 continue
-            for e3, c3 in edge_list:
-                if w not in e3 or u in e3:
+            for e3, c3 in at[w]:
+                if u in e3:
                     continue
                 x = e1[0] if e1[1] == u else e1[1]
                 y = e3[0] if e3[1] == w else e3[1]
@@ -388,7 +384,7 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
                     if count[e1] > 1 or count[e2] > 1:
                         p3 = False
 
-    p4 = all(deg[v] == g.m for v in g.vertices)
+    p4 = all(len(at[v]) == g.m for v in g.vertices)
     return p1, p2, p3, p4
 
 
