@@ -336,15 +336,18 @@ class _Searcher:
             lines.append(serialize_family(family).rstrip("\n"))
         payload = "\n".join(lines) + "\n"
         directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(payload)
+                os.replace(tmp, path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise SearchError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def _ckpt_int(path: str, text: str) -> int:

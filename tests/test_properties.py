@@ -1,9 +1,13 @@
 """Property tests for canonical labeling and rainbows over random small
-families, and fuzz tests of the TRIFAM and checkpoint readers."""
+families, and fuzz tests of the TRIFAM and checkpoint readers and of the
+command line."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +19,15 @@ from rainbowfree.canon import (
     canonical_relabeling,
     is_canonical,
 )
+from rainbowfree.cli import main
+from rainbowfree.constructions import doubled_nine, t_star
 from rainbowfree.family import (
     MULTISET,
     SET,
     TriangleFamily,
     TrifamError,
     parse_family,
+    serialize_family,
 )
 from rainbowfree.rainbow import find_rainbow, verify_certificate
 from rainbowfree.search import SearchConfig, SearchError, resume_search, run_search
@@ -78,6 +85,38 @@ def test_relabeling_map_carries_members_onto_image(f):
     )
     assert image.n == f.n
     assert tuple(carried) == image.members
+
+
+def brute_canonical(f):
+    """First label path over itertools.permutations that minimizes the
+    sorted member sequence: path[l] is the support position labeled l.
+
+    Returns the vertex map canonical_relabeling must give (isolated
+    vertices take the spare labels in ascending order) and the minimum.
+    """
+    sup = sorted({v for t, _ in f.members for v in t})
+    best = best_path = None
+    for path in itertools.permutations(range(len(sup))):
+        lab = {sup[p]: l for l, p in enumerate(path)}
+        seq = sorted((*sorted(lab[v] for v in t), m) for t, m in f.members)
+        if best is None or seq < best:
+            best, best_path = seq, path
+    mapping = {sup[p]: l for l, p in enumerate(best_path or ())}
+    spare = iter(range(len(sup), f.n))
+    for v in range(f.n):
+        if v not in mapping:
+            mapping[v] = next(spare)
+    return mapping, best
+
+
+@PROPERTY
+@given(st.integers(3, 7).flatmap(families))
+def test_canonical_labeling_matches_brute_force(f):
+    mapping, _ = canonical_relabeling(f)
+    want, best = brute_canonical(f)
+    assert mapping == want
+    identity = sorted((*t, m) for t, m in f.members)
+    assert is_canonical(f) == (identity == best)
 
 
 same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), families(n)))
@@ -192,3 +231,111 @@ def test_resume_search_raises_only_search_or_trifam_error(
         resume_search(str(path), node_limit=50)
     except (SearchError, TrifamError):
         pass
+
+
+# -- fuzzing the command line: every argv ends in an exit code 0..3
+
+# each subcommand with its positional arguments and its own flags; the
+# common flags and a few foreign ones can go with any of them
+CLI_COMMANDS = {
+    "check": (1, ("--verify-bound",)),
+    "construct": (0, ("--n", "--pairs", "--apexes")),
+    "certify": (1, ()),
+    "search": (0, (
+        "--n", "--mode", "--prove", "--enumerate-extremal", "--node-limit",
+        "--checkpoint", "--checkpoint-interval", "--resume",
+    )),
+    "rs": (1, ()),
+    "iso": (2, ()),
+    "canon": (1, ()),
+    "bogus": (0, ()),
+}
+CLI_COMMON_FLAGS = ("--out", "--porcelain", "--config", "--workers", "--help")
+# @name tokens stand for paths made by the cli_files fixture; outputs go
+# only where no input lives.  search --n values stay at most 8, apart from
+# the ones its vertex cap refuses
+CLI_PATHS = (
+    "-", "@good", "@rainbow", "@multi", "@garbage", "@missing", "@dir", "@ckpt",
+    "@cfg", "@badcfg",
+)
+CLI_OUTPUTS = ("@out", "@dir", "@nodir")
+CLI_INTS = ("0", "1", "2", "3", "-1", "4", "7", "8", "x", "", "2000000", str(10**20))
+CLI_VALUES = {
+    "--out": CLI_OUTPUTS,
+    "--checkpoint": CLI_OUTPUTS,
+    "--config": CLI_PATHS,
+    "--resume": CLI_PATHS,
+    "--mode": ("set", "multiset", "bag", ""),
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    files = {
+        "good": serialize_family(t_star(8)),
+        "rainbow": "trifam 1\nmode set\nn 4\n0 1 2\n0 1 3\n0 2 3\n",
+        "multi": serialize_family(doubled_nine()),
+        "garbage": "trifam 1\nmode set\nn x\n",
+        "cfg": "n = 7\nporcelain = true\n",
+        "badcfg": "n = lots\nmystery = 1\n",
+    }
+    paths = {
+        "missing": str(d / "missing.trifam"),
+        "dir": str(d),
+        "out": str(d / "out"),
+        "nodir": str(d / "no" / "out"),
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+        paths[name] = str(d / name)
+    ckpt = d / "ckpt"
+    run_search(SearchConfig(n=7, mode=MULTISET, node_limit=3, checkpoint_path=str(ckpt)))
+    paths["ckpt"] = str(ckpt)
+    return paths
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand, its positional paths, then flags with drawn values."""
+    # search has the most flags, so it is drawn more often
+    command = draw(st.sampled_from(("search",) * 4 + tuple(sorted(CLI_COMMANDS))))
+    npos, own = CLI_COMMANDS[command]
+    argv = [command]
+    if command == "construct":
+        # a kind, then the family file that only construct double reads
+        argv.append(draw(st.sampled_from(("tstar", "pairs", "double", "fig5"))))
+        npos = draw(st.integers(0, 1))
+    argv += draw(st.lists(st.sampled_from(CLI_PATHS), min_size=npos, max_size=npos))
+    if command == "search":
+        # drawn flags override these; --n is left out at times so that
+        # --resume and the config file can supply it
+        argv += ["--node-limit", "40"]
+        if draw(st.booleans()):
+            argv += ["--n", draw(st.sampled_from(("3", "6", "8")))]
+    flags = st.sampled_from(own + CLI_COMMON_FLAGS)
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(flags)
+        argv.append(flag)
+        if draw(st.integers(0, 5)):
+            argv.append(draw(st.sampled_from(CLI_VALUES.get(flag, CLI_INTS))))
+    return argv
+
+
+# argv combinations are sparser than reader inputs: with 200 examples the
+# derandomized draw never pairs a runnable search with an unwritable
+# checkpoint path
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+def test_cli_exits_only_with_codes_0_to_3(cli_files, argv):
+    argv = [cli_files[a[1:]] if a.startswith("@") else a for a in argv]
+    with (
+        mock.patch("sys.stdin", io.StringIO("")),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
