@@ -126,7 +126,7 @@ class CertifierReport:
         return ok
 
 
-def max_independent_set(g: UnionGraph, limit: int = MIS_VERTEX_LIMIT) -> tuple[Vertex, ...]:
+def max_independent_set(g: UnionGraph) -> tuple[Vertex, ...]:
     """Lexicographically least maximum independent set of g.
 
     Exact branch and bound over vertex bitmasks with memoization;
@@ -136,8 +136,8 @@ def max_independent_set(g: UnionGraph, limit: int = MIS_VERTEX_LIMIT) -> tuple[V
     optimum.
     """
     n = g.n
-    if n > limit:
-        raise MISLimitError(f"graph has {n} vertices, exact solver limit is {limit}")
+    if n > MIS_VERTEX_LIMIT:
+        raise MISLimitError(f"graph has {n} vertices, exact solver limit is {MIS_VERTEX_LIMIT}")
     adj = g.adj
     memo: dict[int, int] = {}
 
@@ -188,9 +188,9 @@ def max_independent_set(g: UnionGraph, limit: int = MIS_VERTEX_LIMIT) -> tuple[V
     return tuple(chosen)
 
 
-def bipartition(g: UnionGraph, limit: int = MIS_VERTEX_LIMIT) -> Bipartition:
+def bipartition(g: UnionGraph) -> Bipartition:
     """Split vertices into a maximum independent set A and B = V - A."""
-    a = max_independent_set(g, limit)
+    a = max_independent_set(g)
     a_set = set(a)
     b = tuple(v for v in range(g.n) if v not in a_set)
     e_b = tuple(e for e in g.edges if e[0] not in a_set and e[1] not in a_set)
@@ -422,7 +422,7 @@ def check_matched_pairs(g: ColoredMultigraph) -> bool:
     return True
 
 
-def certify(f: TriangleFamily, mis_limit: int = MIS_VERTEX_LIMIT) -> CertifierReport:
+def certify(f: TriangleFamily) -> CertifierReport:
     """Run every check on a rainbow-free family and report the results.
 
     A multiset family is certified through its distinct support; the
@@ -436,7 +436,7 @@ def certify(f: TriangleFamily, mis_limit: int = MIS_VERTEX_LIMIT) -> CertifierRe
     if f.mode == MULTISET:
         support = family_from_triangles(f.n, list(f.support), SET)
     g = union_graph(support)
-    p = bipartition(g, mis_limit)
+    p = bipartition(g)
     beta = build_beta(support, g, p)
     witnesses = tuple(build_witness(support, g, p, beta, b) for b in p.b)
     eq1_ok, eq1_val, eq2_ok, eq2_rows = check_degree_sums(support, p, beta)

@@ -17,7 +17,9 @@ PATH (key = value lines mirroring the command's flags; explicit flags
 win).
 
 Exit codes: 0 the checked property holds or the command succeeded, 1 the
-property fails, 2 usage or format error, 3 resource limit hit.
+property fails, 2 usage or format error, 3 resource limit hit.  The
+library modules raise their own error classes; main is the one place that
+maps an error to exit code 2 or 3.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .family import (
     parse_family,
     serialize_family,
 )
-from .rainbow import find_rainbow, render_certificate
+from .rainbow import RainbowCertificate, find_rainbow, render_certificate
 from .rs import bound_report, check_t2_constraints, decompose, unique_triangle_property
 from .search import (
     ENUMERATE,
@@ -47,7 +49,6 @@ from .search import (
     SearchConfig,
     SearchError,
     SearchLimitError,
-    load_checkpoint,
     resume_search,
     run_search,
 )
@@ -66,33 +67,36 @@ _INT_DESTS = frozenset(
 
 
 class _CliError(Exception):
-    """Error with a designated exit code; the message goes to stderr."""
-
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+    """A usage error of the command line; the message goes to stderr."""
 
 
-def _usage(message: str) -> _CliError:
-    return _CliError(USAGE, message)
-
-
-def _search_error(exc: SearchError) -> _CliError:
-    return _CliError(LIMIT if isinstance(exc, SearchLimitError) else USAGE, str(exc))
+# main maps these to exit 3 and 2; VertexLimitError and SearchLimitError
+# subclass usage errors, so limits are matched first
+_LIMIT_ERRORS = (VertexLimitError, SearchLimitError, MISLimitError, MemoryError)
+_USAGE_ERRORS = (_CliError, TrifamError, SearchError)
 
 
 # -- input/output helpers
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _read_family(path: str) -> TriangleFamily:
-    if path == "-":
-        data = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise _usage(f"cannot read {path}: {exc}") from exc
+    data = sys.stdin.read() if path == "-" else _read(path)
     try:
         return parse_family(data)
     except TrifamError as exc:
@@ -101,13 +105,15 @@ def _read_family(path: str) -> TriangleFamily:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _usage(f"cannot write {args.out}: {exc}") from exc
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_rainbow(args: argparse.Namespace, cert: RainbowCertificate) -> int:
+    body = render_certificate(cert)
+    _emit(args, "status=rainbow\n" + body if args.porcelain else body)
+    return FAIL
 
 
 def _kv(args: argparse.Namespace, key: str, value: object) -> str:
@@ -130,24 +136,19 @@ def _parse_bool(raw: str) -> bool:
 def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _usage(f"cannot read {args.config}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_read(args.config).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _usage(f"{args.config}:{lineno}: expected key = value")
+            raise _CliError(f"{args.config}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         dest = key.replace("-", "_")
         if dest in ("config", "func", "file", "kind", "a", "b") or not hasattr(
             args, dest
         ):
-            raise _usage(f"{args.config}:{lineno}: unknown key {key!r}")
+            raise _CliError(f"{args.config}:{lineno}: unknown key {key!r}")
         if getattr(args, dest) is not None:  # explicit flags win
             continue
         try:
@@ -158,7 +159,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             else:
                 parsed = value
         except ValueError as exc:
-            raise _usage(
+            raise _CliError(
                 f"{args.config}:{lineno}: bad value {value!r} for {key}"
             ) from exc
         setattr(args, dest, parsed)
@@ -171,11 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     f = _read_family(args.file)
     cert = find_rainbow(f)
     if cert is not None:
-        body = render_certificate(cert)
-        if args.porcelain:
-            body = "status=rainbow\n" + body
-        _emit(args, body)
-        return FAIL
+        return _emit_rainbow(args, cert)
     lines = ["status=rainbow-free" if args.porcelain else "rainbow-free"]
     code = OK
     if args.verify_bound:
@@ -203,14 +200,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind != "double" and args.file != "-":
-        raise _usage(f"construct {kind} takes no family file")
+        raise _CliError(f"construct {kind} takes no family file")
     if kind == "tstar":
         if args.n is None:
-            raise _usage("construct tstar requires --n")
+            raise _CliError("construct tstar requires --n")
         f = t_star(args.n)
     elif kind == "pairs":
         if args.n is None or args.pairs is None or args.apexes is None:
-            raise _usage("construct pairs requires --n, --pairs and --apexes")
+            raise _CliError("construct pairs requires --n, --pairs and --apexes")
         f = pair_family(args.n, args.pairs, args.apexes)
     elif kind == "double":
         f = double(_read_family(args.file))
@@ -225,14 +222,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     try:
         report = certify(f)
     except RainbowFamilyError as exc:
-        body = render_certificate(exc.certificate)
-        if args.porcelain:
-            body = "status=rainbow\n" + body
-        _emit(args, body)
-        return FAIL
-    except MISLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return LIMIT
+        return _emit_rainbow(args, exc.certificate)
     _emit(args, render_report(report, porcelain=bool(args.porcelain)))
     return OK if report.verdict else FAIL
 
@@ -244,62 +234,48 @@ def _given(**kwargs: object) -> dict:
 
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     if args.prove is not None and args.enumerate_extremal:
-        raise _usage("--prove and --enumerate-extremal are mutually exclusive")
+        raise _CliError("--prove and --enumerate-extremal are mutually exclusive")
     if args.n is None:
-        raise _usage("search requires --n (or --resume)")
+        raise _CliError("search requires --n (or --resume)")
     if args.prove is not None:
         target, k = PROVE, args.prove
     elif args.enumerate_extremal:
         target, k = ENUMERATE, 0
     else:
         target, k = MAXIMIZE, 0
-    try:
-        return SearchConfig(
-            n=args.n,
-            mode=args.mode or SET,
-            target=target,
-            prove_k=k,
-            checkpoint_path=args.checkpoint,
-            **_given(
-                node_limit=args.node_limit,
-                checkpoint_interval=args.checkpoint_interval,
-            ),
-        )
-    except SearchError as exc:
-        raise _search_error(exc) from exc
+    return SearchConfig(
+        n=args.n,
+        mode=args.mode or SET,
+        target=target,
+        prove_k=k,
+        checkpoint_path=args.checkpoint,
+        **_given(
+            node_limit=args.node_limit,
+            checkpoint_interval=args.checkpoint_interval,
+        ),
+    )
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.resume is not None:
         for dest, flag in (("n", "--n"), ("mode", "--mode"), ("prove", "--prove")):
             if getattr(args, dest) is not None:
-                raise _usage(f"--resume takes {flag} from the checkpoint")
+                raise _CliError(f"--resume takes {flag} from the checkpoint")
         if args.enumerate_extremal:
-            raise _usage("--resume takes the target from the checkpoint")
-        try:
-            target = load_checkpoint(args.resume)["target"]
-            result = resume_search(
-                args.resume,
-                checkpoint_path=args.checkpoint,
-                **_given(
-                    node_limit=args.node_limit,
-                    checkpoint_interval=args.checkpoint_interval,
-                ),
-            )
-        except SearchError as exc:
-            raise _search_error(exc) from exc
-        except OSError as exc:
-            raise _usage(f"cannot read {args.resume}: {exc}") from exc
+            raise _CliError("--resume takes the target from the checkpoint")
+        result = resume_search(
+            args.resume,
+            checkpoint_path=args.checkpoint,
+            **_given(
+                node_limit=args.node_limit,
+                checkpoint_interval=args.checkpoint_interval,
+            ),
+        )
     else:
-        cfg = _search_config(args)
-        target = cfg.target
-        try:
-            result = run_search(cfg)
-        except SearchError as exc:
-            raise _search_error(exc) from exc
+        result = run_search(_search_config(args))
 
     lines = [_kv(args, "best", result.best_size)]
-    if result.found is not None or target == PROVE:
+    if result.found is not None or result.target == PROVE:
         if result.found:
             status = "found"
         elif result.completed:
@@ -316,11 +292,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.out:
         for i, w in enumerate(result.witnesses):
             path = f"{args.out}-{i}"
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(serialize_family(w))
-            except OSError as exc:
-                raise _usage(f"cannot write {path}: {exc}") from exc
+            _write(path, serialize_family(w))
             lines.append(_kv(args, f"witness-file.{i}", path))
     else:
         blocks = [serialize_family(w) for w in result.witnesses]
@@ -451,6 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place where an error becomes an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -459,16 +432,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except TrifamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return LIMIT if isinstance(exc, VertexLimitError) else USAGE
-    except MemoryError:
-        # exit 1 would claim the property fails
-        print("error: out of memory", file=sys.stderr)
+    except _LIMIT_ERRORS as exc:
+        # exit 1 would claim the property fails; numpy's MemoryError
+        # carries its own message
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return LIMIT
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     except BrokenPipeError:
         return OK
 

@@ -54,9 +54,6 @@ def decompose(f: TriangleFamily) -> MultisetDecomposition:
     """Split a multiplicity-at-most-2 multiset family into its layers."""
     if f.mode != MULTISET:
         raise TrifamError("decompose expects a multiset-mode family")
-    for t, m in f.members:
-        if m > 2:  # nothing in this package produces these; corrupt input
-            raise TrifamError(f"member {t} has multiplicity {m} > 2")
     t1 = family_from_triangles(f.n, list(f.support), SET)
     t2 = family_from_triangles(f.n, [t for t, m in f.members if m == 2], SET)
     return MultisetDecomposition(t1, t2, union_graph(t2))

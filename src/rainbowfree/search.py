@@ -15,6 +15,7 @@ depth-first order.
 
 from __future__ import annotations
 
+import errno
 import os
 import tempfile
 from dataclasses import dataclass
@@ -94,6 +95,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    target: str
     best_size: int
     witnesses: tuple[TriangleFamily, ...]
     extremal_class_count: int | None
@@ -229,6 +231,9 @@ class _Searcher:
     # -- the DFS
 
     def run(self, replay: _Snapshot = ()) -> None:
+        if self.cfg.checkpoint_path:
+            # an unwritable path fails now, not after the first interval
+            _write_atomic(self.cfg.checkpoint_path, None)
         try:
             self._process(list(replay))
         except _LimitHit:
@@ -334,20 +339,27 @@ class _Searcher:
             lines.append("witness")
             family = TriangleFamily(cfg.n, snap, cfg.mode)
             lines.append(serialize_family(family).rstrip("\n"))
-        payload = "\n".join(lines) + "\n"
+        _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path: str, payload: str | None) -> None:
+    """Replace path by way of a temporary file beside it; with payload None,
+    only check that path is no directory and that its directory takes a file."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
         try:
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(payload or "")
+            if payload is not None:
                 os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        except OSError as exc:
-            raise SearchError(f"cannot write checkpoint {path}: {exc}") from exc
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise SearchError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def _ckpt_int(path: str, text: str) -> int:
@@ -358,10 +370,16 @@ def _ckpt_int(path: str, text: str) -> int:
 
 
 def load_checkpoint(path: str) -> dict:
-    """Parse a checkpoint file into a plain dict (no engine state)."""
+    """Parse a checkpoint file into a plain dict (no engine state).
+
+    The header must agree with the stored witnesses: without a found
+    proof, best is the size of the largest witness.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read()
+    except OSError as exc:
+        raise SearchError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SearchError(f"{path}: not an ASCII checkpoint ({exc.reason})") from None
     lines = raw.splitlines()
@@ -411,6 +429,15 @@ def load_checkpoint(path: str) -> dict:
         raise SearchError(
             f"{path}: witness count mismatch ({len(witnesses)} != {count})"
         )
+    if {state["done"], state["found"]} - {0, 1} or state["nodes"] < 0:
+        raise SearchError(f"{path}: done and found must be 0 or 1, nodes >= 0")
+    sizes = [w.size for w in witnesses]
+    if state["found"]:
+        # a found proof is always written as a done prove checkpoint
+        if not state["done"] or state["target"] != PROVE or len(sizes) != 1:
+            raise SearchError(f"{path}: found-flag set outside a finished proof")
+    elif state["best"] != max(sizes, default=None):
+        raise SearchError(f"{path}: best {state['best']} does not match the stored witnesses")
     state.update(
         done=bool(state["done"]),
         found=bool(state["found"]),
@@ -429,31 +456,27 @@ def _finish(
 ) -> SearchResult:
     families = [TriangleFamily(cfg.n, snap, cfg.mode) for snap in snaps]
     best = max((f.size for f in families), default=0)
+    found: bool | None = None
     if cfg.target == PROVE:
-        found = found_snap is not None
-        witnesses = (TriangleFamily(cfg.n, found_snap, cfg.mode),) if found else ()
-        result = SearchResult(
-            best_size=witnesses[0].size if found else best,
-            witnesses=witnesses,
-            extremal_class_count=None,
-            nodes_explored=nodes,
-            completed=completed,
-            found=found if completed or found else None,
-        )
+        witnesses: tuple[TriangleFamily, ...] = ()
+        if found_snap is not None:
+            witnesses = (TriangleFamily(cfg.n, found_snap, cfg.mode),)
+            best = witnesses[0].size
+        if completed or witnesses:
+            found = bool(witnesses)
     else:
         witnesses = tuple(
             sorted((f for f in families if f.size == best), key=lambda f: f.members)
         )
-        result = SearchResult(
-            best_size=best,
-            witnesses=witnesses,
-            extremal_class_count=(
-                len(witnesses) if cfg.target == ENUMERATE else None
-            ),
-            nodes_explored=nodes,
-            completed=completed,
-            found=None,
-        )
+    result = SearchResult(
+        target=cfg.target,
+        best_size=best,
+        witnesses=witnesses,
+        extremal_class_count=len(witnesses) if cfg.target == ENUMERATE else None,
+        nodes_explored=nodes,
+        completed=completed,
+        found=found,
+    )
     for w in result.witnesses:
         if find_rainbow(w) is not None:
             raise SearchError(f"internal fault: witness {w.members} has a rainbow")
@@ -494,15 +517,12 @@ def resume_search(
     )
     snaps = [f.members for f in state["witnesses"]]
     if state["done"]:
-        found = snaps[0] if (cfg.target == PROVE and state["found"]) else None
+        found = snaps[0] if state["found"] else None
         return _finish(cfg, snaps, state["nodes"], True, found)
     s = _Searcher(cfg)
     s.nodes = state["nodes"]
     s.best = state["best"]
     s.witnesses = snaps
-    if cfg.target == PROVE and state["found"]:
-        # a found proof is always written as a done checkpoint
-        raise SearchError(f"{path}: found-flag set on an unfinished checkpoint")
     pool_rank = {t: i for i, t in enumerate(s.pool)}
     try:
         replay = tuple((pool_rank[t], m) for t, m in state["prefix"])

@@ -52,7 +52,7 @@ def test_mis_empty_graph_takes_everything():
 def test_mis_vertex_limit():
     g = union_graph(family_from_triangles(70, [(0, 1, 2)]))
     with pytest.raises(MISLimitError):
-        max_independent_set(g, limit=64)
+        max_independent_set(g)
 
 
 def test_bipartition_t_star8():

@@ -104,6 +104,9 @@ def test_check_bad_inputs(tmp_path, capsys):
     broken.write_text("trifam 2\nmode set\nn 4\n0 1 2\n")
     code, _, err = run_cli(capsys, ["check", str(broken)])
     assert code == USAGE and "header" in err
+    broken.write_bytes(b"trifam 1\nmode set\nn 4\n0 1 \xff\n")
+    code, _, err = run_cli(capsys, ["check", str(broken)])
+    assert code == USAGE and "cannot read" in err and "utf-8" in err
 
 
 def test_check_rainbow_past_63_vertices(tmp_path, capsys):
@@ -340,6 +343,12 @@ def test_search_resume_rejects_overrides(tmp_path, capsys):
     assert code == USAGE and "target" in err
     code, _, err = run_cli(capsys, ["search", "--resume", str(tmp_path / "no.ckpt")])
     assert code == USAGE
+    # the checkpoint's n is held to the search cap like --n
+    big = tmp_path / "big.ckpt"
+    big.write_text(open(ck).read().replace("\nn 6\n", "\nn 65\n", 1))
+    code, out, err = run_cli(capsys, ["search", "--resume", str(big)])
+    assert code == LIMIT and out == ""
+    assert err == f"error: search needs n <= {MAX_SEARCH_N}, got n = 65\n"
 
 
 def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys):
@@ -520,6 +529,9 @@ def test_config_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == USAGE and "expected key = value" in err
     code, _, err = run_cli(capsys, ["check", "x", "--config", str(tmp_path / "no.cfg")])
+    assert code == USAGE and "cannot read" in err
+    cfg.write_bytes(b"n = \xff\n")
+    code, _, err = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == USAGE and "cannot read" in err
 
 

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import rainbowfree.search as search_module
 from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
 from rainbowfree.constructions import doubled_nine, pair_family
 from rainbowfree.family import MULTISET, SET, family_from_triangles
@@ -258,6 +259,56 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
         bad.write_text("\n".join(swapped) + "\n")
         with pytest.raises(SearchError):
             resume_search(str(bad))
+
+    # headers that disagree with the witnesses: resuming with best 99
+    # would prune every branch and report the stored witnesses' size
+    no_witness = text.split("\nwitnesses ", 1)[0] + "\nwitnesses 0\n"
+    for edited in (
+        re.sub(r"(?m)^best .*$", "best 99", text),
+        no_witness,
+        re.sub(r"(?m)^nodes .*$", "nodes -1", text),
+        re.sub(r"(?m)^done .*$", "done 2", text),
+        re.sub(r"(?m)^found .*$", "found 2", text),
+        re.sub(r"(?m)^found .*$", "found 1", text),
+    ):
+        bad.write_text(edited)
+        with pytest.raises(SearchError):
+            resume_search(str(bad))
+
+    # unreadable paths are search errors, not OSErrors
+    for path in (tmp_path / "missing.ckpt", tmp_path):
+        with pytest.raises(SearchError, match="cannot read"):
+            load_checkpoint(str(path))
+        with pytest.raises(SearchError, match="cannot read"):
+            resume_search(str(path))
+
+    # a found proof stores the found witness, which is larger than best
+    found = tmp_path / "found.ckpt"
+    run_search(SearchConfig(n=8, target="prove", prove_k=8, checkpoint_path=str(found)))
+    state = load_checkpoint(str(found))
+    assert state["found"] and state["best"] == 7
+    assert [w.size for w in state["witnesses"]] == [8]
+    assert resume_search(str(found)).found is True
+
+
+def test_unwritable_checkpoint_path_fails_before_the_first_node(tmp_path, monkeypatch):
+    ck = tmp_path / "run.ckpt"
+    run_search(SearchConfig(n=7, node_limit=3, checkpoint_path=str(ck)))
+    calls = []
+    real = search_module.list_extensions
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(search_module, "list_extensions", spy)
+    for path in (tmp_path, tmp_path / "no-such-dir" / "run.ckpt"):
+        with pytest.raises(SearchError, match="cannot write checkpoint"):
+            run_search(SearchConfig(n=9, checkpoint_path=str(path)))
+        with pytest.raises(SearchError, match="cannot write checkpoint"):
+            resume_search(str(ck), checkpoint_path=str(path))
+    assert calls == []
+    assert not list(tmp_path.glob(".ckpt-*"))
 
 
 def test_config_validation():
