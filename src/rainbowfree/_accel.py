@@ -19,6 +19,13 @@ a copy of the triple itself, so Hall's condition reduces to counting:
 with edge owner counts c1, c2, c3 and cm copies of the triple itself,
 an SDR exists iff every ci >= 1, every ci + cj - cm >= 2, and
 c1 + c2 + c3 - 2 * cm >= 3.
+
+Extension test: adding copies of a triangle to a rainbow-free family can
+only turn rainbow its own triple or a triple (a, b, w) on one of its
+edges (a, b).  For w off the triangle the latter is a property of the
+edge alone, its edge witness (see _edge_witness), so list_extensions
+scans each edge once and shares the answer among every triangle on it
+and both multiplicities: one call costs O(n^3) for the C(n,3) pool.
 """
 
 from __future__ import annotations
@@ -129,39 +136,75 @@ def rainbow_triple_scan(cnt, codes, tm, n):
 
 
 @_jit
-def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
-    """Would adding add_m copies of (x, y, z) create a rainbow triple?
+def _edge_witness(cnt, codes, tm, n, a, b):
+    """Would some (a, b, w) turn rainbow once new copies own the edge (a, b)?
+
+    A new copy owns (a, b) and no other edge of (a, b, w) unless w is its
+    opposite vertex.  For every other w, (a, b, w) becomes rainbow iff
+    (a, w) and (b, w) get distinct owners: both counts are at least 1 and,
+    as the cm copies of (a, b, w) own both, cnt[a, w] + cnt[b, w] - cm >= 2
+    (the _hall3 test with c1 = cnt[a, b] + m reduces to this, because
+    cnt[a, b] >= cm and m >= 1).  So the answer depends on the edge alone,
+    not on the number of copies or the opposite vertex.  Returns 1 if some
+    w qualifies, else 0.
+    """
+    for w in range(n):
+        if w == a or w == b:
+            continue
+        caw = cnt[a, w]
+        cbw = cnt[b, w]
+        if caw < 1 or cbw < 1:
+            continue
+        if w < a:
+            code = (w * n + a) * n + b
+        elif w < b:
+            code = (a * n + w) * n + b
+        else:
+            code = (a * n + b) * n + w
+        if caw + cbw - _mult(codes, tm, code) >= 2:
+            return 1
+    return 0
+
+
+@_jit
+def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
+    """Would adding m copies of (x, y, z), x < y < z, create a rainbow triple?
 
     Assumes the current family is rainbow-free, so only triples using an
-    edge of the new member need checking.  Returns 1 if a rainbow appears.
+    edge of the new member can turn rainbow: its own triple, tested
+    first, and the triples (a, b, w) on an edge (a, b) of it, which some w
+    turns rainbow iff _edge_witness(a, b) is 1.  A witness w equal to the
+    opposite vertex needs no exclusion: its test reads the counts of
+    (a, w) and (b, w) without the new copies, and with them the own
+    triple passes the test above.  wit caches _edge_witness per edge (-1
+    where not yet computed) for every m and every triangle on the edge.
+    Returns 1 if a rainbow appears.
     """
+    own = _mult(codes, tm, (x * n + y) * n + z) + m
+    if _hall3(cnt[x, y] + m, cnt[x, z] + m, cnt[y, z] + m, own) == 1:
+        return 1
     for k in range(3):
-        # edge (a, b) of the new member, o its opposite vertex
         if k == 0:
-            a, b, o = x, y, z
+            a, b = x, y
         elif k == 1:
-            a, b, o = x, z, y
+            a, b = x, z
         else:
-            a, b, o = y, z, x
-        cab = cnt[a, b] + add_m
-        for w in range(n):
-            if w == a or w == b:
-                continue
-            # (a, w) and (b, w) are edges of the new member only when w == o
-            own = add_m if w == o else 0
-            caw = cnt[a, w] + own
-            cbw = cnt[b, w] + own
-            if caw < 1 or cbw < 1:
-                continue
-            if w < a:
-                code = (w * n + a) * n + b
-            elif w < b:
-                code = (a * n + w) * n + b
-            else:
-                code = (a * n + b) * n + w
-            if _hall3(cab, caw, cbw, _mult(codes, tm, code) + own) == 1:
-                return 1
+            a, b = y, z
+        if wit[a, b] < 0:
+            wit[a, b] = _edge_witness(cnt, codes, tm, n, a, b)
+        if wit[a, b] == 1:
+            return 1
     return 0
+
+
+@_jit
+def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
+    """Would adding add_m copies of (x, y, z), x < y < z, create a rainbow?
+
+    Assumes the current family is rainbow-free.  Returns 1 if a rainbow
+    appears; _after_add holds the rule.
+    """
+    return _after_add(cnt, codes, tm, n, x, y, z, add_m, np.full((n, n), -1, np.int8))
 
 
 @_jit
@@ -173,7 +216,12 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
     Unaddable triangles stay unaddable as the family grows, so the sum
     bounds everything a whole subtree can still add; label-contiguity is
     a per-node constraint and is left to the caller.
+
+    Each triangle is tested by the rule of _after_add with one edge cache
+    for the whole call, so each edge is scanned for witnesses at most once
+    and a call costs O(n^3) for the C(n,3) pool.
     """
+    wit = np.full((n, n), -1, np.int8)
     total = pool_a.shape[0]
     cap = 0
     for idx in range(start, total):
@@ -181,10 +229,10 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
         a = pool_a[idx]
         b = pool_b[idx]
         c = pool_c[idx]
-        if rainbow_after_add(cnt, codes, tm, n, a, b, c, 1) == 1:
+        if _after_add(cnt, codes, tm, n, a, b, c, 1, wit) == 1:
             continue
         m = 1
-        if max_mult >= 2 and rainbow_after_add(cnt, codes, tm, n, a, b, c, 2) == 0:
+        if max_mult >= 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit) == 0:
             m = 2
         out[idx] = m
         cap += m

@@ -80,7 +80,13 @@ _USAGE_ERRORS = (_CliError, TrifamError, SearchError)
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of a file, or of standard input for "-"."""
     try:
+        if path == "-":
+            if sys.stdin is None:  # started with file descriptor 0 closed
+                raise OSError("standard input is closed")
+            # bytes, so the decoding does not depend on the locale
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,7 +102,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _read_family(path: str) -> TriangleFamily:
-    data = sys.stdin.read() if path == "-" else _read(path)
+    data = _read(path)
     try:
         return parse_family(data)
     except TrifamError as exc:

@@ -46,8 +46,9 @@ ENUMERATE = "enumerate"
 TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
-# its pool and scans them at every node, so a single node at n = 64
-# already takes seconds, and no exhaustive search near this size ends.
+# its pool and lists their extensions at every node, about 0.17 s per node
+# at n = 64 in the pure-Python lane, and no exhaustive search near this
+# size ends.
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"

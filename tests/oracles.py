@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 from rainbowfree.family import TriangleFamily, Triangle, family_from_triangles
 
@@ -42,12 +43,14 @@ def brute_has_rainbow(f: TriangleFamily) -> bool:
 
 
 def brute_extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
-    """Would the family stay rainbow-free after adding add_m copies of t?"""
-    members = [trip + (m,) for trip, m in f.members if trip != t]
-    members.append(t + (f.multiplicity(t) + add_m,))
-    mode = f.mode if f.mode == "multiset" else "multiset"
-    extended = family_from_triangles(f.n, members, mode)
-    return not brute_has_rainbow(extended)
+    """Would the family stay rainbow-free after adding add_m copies of t?
+
+    The copies may take t's multiplicity past 2, which no TriangleFamily
+    holds, so the rainbow check runs on a bare (n, members) record.
+    """
+    members = [(trip, m) for trip, m in f.members if trip != t]
+    members.append((t, f.multiplicity(t) + add_m))
+    return not brute_has_rainbow(SimpleNamespace(n=f.n, members=members))
 
 
 def brute_are_isomorphic(f: TriangleFamily, g: TriangleFamily) -> bool:

@@ -32,9 +32,14 @@ from rainbowfree.rainbow import RainbowCertificate, verify_certificate
 from rainbowfree.search import MAX_SEARCH_N
 
 
+def fake_stdin(text: str) -> io.TextIOWrapper:
+    """A text stream over bytes, as sys.stdin is, so that .buffer exists."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", fake_stdin(stdin))
     code = main(argv)
     cap = capsys.readouterr()
     return code, cap.out, cap.err
@@ -399,6 +404,21 @@ def test_search_n_cap_exits_limit():
     assert proc.stderr == f"error: search needs n <= {MAX_SEARCH_N}, got n = 200\n"
 
 
+def test_search_node_limit_at_the_n_cap():
+    # the largest n a search accepts: a node lists the extensions of all
+    # C(64,3) pool triangles, and three of them end well inside the timeout
+    argv = ["search", "--n", str(MAX_SEARCH_N), "--node-limit", "3", "--porcelain"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowfree.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == LIMIT, proc.stderr
+    assert "completed=false" in proc.stdout.splitlines()
+    assert proc.stderr == "nodes=3\n"
+
+
 # -- rs
 
 
@@ -550,6 +570,28 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, ["frobnicate"])[0] == USAGE
     assert run_cli(capsys, ["check"])[0] == USAGE
     assert run_cli(capsys, ["construct", "sphere"])[0] == USAGE
+
+
+def test_unreadable_stdin_exits_usage():
+    # stdin is decoded from its bytes, so a strict text layer cannot raise
+    # outside the reader's error path
+    argv = [sys.executable, "-m", "rainbowfree.cli", "check", "-"]
+    proc = subprocess.run(
+        argv,
+        input=b"trifam 1\nmode set\nn 4\n0 1 2 \xff\n",
+        capture_output=True,
+        env=dict(os.environ, PYTHONIOENCODING="utf-8:strict"),
+        timeout=60,
+    )
+    assert proc.returncode == USAGE, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: cannot read -: 'utf-8' codec can't decode byte 0xff")
+    # with file descriptor 0 closed, Python sets sys.stdin to None
+    proc = subprocess.run(
+        argv, capture_output=True, preexec_fn=lambda: os.close(0), timeout=60
+    )
+    assert proc.returncode == USAGE, proc.stderr
+    assert proc.stderr == b"error: cannot read -: standard input is closed\n"
 
 
 def test_module_entry_point(tmp_path):

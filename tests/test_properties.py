@@ -330,7 +330,7 @@ def cli_argvs(draw):
 def test_cli_exits_only_with_codes_0_to_3(cli_files, argv):
     argv = [cli_files[a[1:]] if a.startswith("@") else a for a in argv]
     with (
-        mock.patch("sys.stdin", io.StringIO("")),
+        mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(b""), encoding="utf-8")),
         contextlib.redirect_stdout(io.StringIO()),
         contextlib.redirect_stderr(io.StringIO()),
     ):

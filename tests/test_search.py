@@ -6,9 +6,11 @@ import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 
 import rainbowfree.search as search_module
+from rainbowfree._accel import build_pool, list_extensions
 from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
 from rainbowfree.constructions import doubled_nine, pair_family
 from rainbowfree.family import MULTISET, SET, family_from_triangles
@@ -363,6 +365,47 @@ def test_extend_ok_matches_brute_random():
             continue
         assert extend_ok(f, t, add_m) == brute_extend_ok(f, t, add_m)
         checked += 1
+
+
+def _greedy_family(rng, n, mode):
+    """A rainbow-free family grown from shuffled triangles, often maximal."""
+    pool = list(itertools.combinations(range(n), 3))
+    rng.shuffle(pool)
+    members = []
+    for t in pool[: rng.randint(0, len(pool))]:
+        m = rng.choice((1, 2)) if mode == MULTISET else 1
+        if not has_rainbow(family_from_triangles(n, members + [t + (m,)], mode)):
+            members.append(t + (m,))
+    return family_from_triangles(n, members, mode)
+
+
+def test_list_extensions_matches_brute_force():
+    rng = random.Random(10)
+    for trial in range(24):
+        n = 3 + trial % 7
+        mode = (SET, MULTISET)[trial % 2]
+        f = _greedy_family(rng, n, mode)
+        state = family_state(f)
+        pool, pool_a, pool_b, pool_c = build_pool(n)
+        ok = {(t, m): brute_extend_ok(f, t, m) for t in pool for m in (1, 2)}
+        for (t, m), want in ok.items():
+            assert extend_ok(f, t, m, state=state) is want, (f, t, m)
+        for max_mult in (1, 2):
+            # the largest m <= max_mult whose copies keep f rainbow-free
+            want = []
+            for t in pool:
+                m = 0
+                while m < max_mult and ok[t, m + 1]:
+                    m += 1
+                want.append(m)
+            for start in range(len(pool) + 1):
+                out = np.full(len(pool), -1, np.int64)
+                cap = list_extensions(
+                    *state, n, pool_a, pool_b, pool_c, start, max_mult, out
+                )
+                assert out[:start].tolist() == [-1] * start
+                assert out[start:].tolist() == want[start:], (f, start, max_mult)
+                assert cap == sum(want[start:])
 
 
 def test_search_examples_from_docs():
