@@ -11,11 +11,13 @@ on 9 vertices.
 from __future__ import annotations
 
 from .family import (
+    MAX_MEMBERS,
     MULTISET,
     SET,
     Triangle,
     TriangleFamily,
     TrifamError,
+    VertexLimitError,
     check_vertex_limit,
     family_from_triangles,
     union_graph,
@@ -26,7 +28,8 @@ def pair_family(n: int, pairs: int, apexes: int) -> TriangleFamily:
     """Family with one triangle per (pair, apex) combination.
 
     Pairs are {0,1}, {2,3}, ... and apexes are the last `apexes`
-    vertices of range(n), so 2*pairs + apexes must be at most n.
+    vertices of range(n), so 2*pairs + apexes must be at most n, and
+    the pairs * apexes members at most MAX_MEMBERS.
     """
     check_vertex_limit(n)
     if pairs < 1 or apexes < 1:
@@ -34,6 +37,10 @@ def pair_family(n: int, pairs: int, apexes: int) -> TriangleFamily:
     if 2 * pairs + apexes > n:
         raise TrifamError(
             f"pairs and apexes overlap: 2*{pairs} + {apexes} > {n}"
+        )
+    if pairs * apexes > MAX_MEMBERS:
+        raise VertexLimitError(
+            f"member count must be <= {MAX_MEMBERS}, got {pairs * apexes}"
         )
     tris = [
         (2 * i, 2 * i + 1, a)

@@ -29,13 +29,19 @@ MAX_MULTIPLICITY = 2
 # sentinel, which holds up to n = 1,664,508.
 MAX_VERTICES = 1_000_000
 
+# Largest member count a construction builds.  t_star(2828), with 999,698
+# members, takes about 5 s and 370 MB to build and serialize in the
+# pure-Python lane; pair_family refuses a larger count before building.
+MAX_MEMBERS = 1_000_000
+
 
 class TrifamError(ValueError):
     """Malformed TRIFAM input or invalid family data."""
 
 
 class VertexLimitError(TrifamError):
-    """A family on more than MAX_VERTICES vertices."""
+    """A family on more than MAX_VERTICES vertices, or a construction of
+    more than MAX_MEMBERS members."""
 
 
 def check_vertex_limit(n: int) -> None:

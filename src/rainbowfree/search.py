@@ -7,10 +7,20 @@ the lexicographically least one for its member multiset. Deleting the
 largest member of such a family leaves another such family, so every
 isomorphism class is visited exactly once, with no seen-set.
 
+A child is listed before it is tested: its extensions give its capacity,
+a bound on what its whole subtree can still add, and a child whose size
+plus capacity cannot reach the best (or the size to prove) is dropped
+before the labeling DFS that tests its canonicity. The parent's own list
+bounds every child's capacity, so most children are dropped before they
+are listed. Either cut removes only subtrees that cannot reach the
+target and keeps the DFS order, so every class that can is still visited
+exactly once; only the node count depends on the cuts.
+
 Targets share one engine. maximize and enumerate collect every canonical
 family of the best size reached (pruning only cuts branches that cannot
 tie the best). prove stops at the first family of the requested size in
-depth-first order.
+depth-first order; a refuted proof reports as best the largest family it
+met, which, like the node count, depends on the cuts.
 """
 
 from __future__ import annotations
@@ -46,9 +56,9 @@ ENUMERATE = "enumerate"
 TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
-# its pool and lists their extensions at every node, about 0.17 s per node
-# at n = 64 in the pure-Python lane, and no exhaustive search near this
-# size ends.
+# its pool and lists their extensions for every child it tests, 0.17-0.6 s
+# a listing at n = 64 in the pure-Python lane, and no exhaustive search
+# near this size ends.
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
@@ -236,7 +246,7 @@ class _Searcher:
             # an unwritable path fails now, not after the first interval
             _write_atomic(self.cfg.checkpoint_path, None)
         try:
-            self._process(list(replay))
+            self._process(list(replay), self._list())
         except _LimitHit:
             self.completed = False
         except _ProofFound:
@@ -247,15 +257,11 @@ class _Searcher:
         if self.completed and self.cfg.checkpoint_path:
             self._write_checkpoint(done=True)
 
-    def _process(self, replay: list[tuple[int, int]]) -> None:
-        replaying = bool(replay)
+    def _list(self) -> int:
+        """List the stack's extensions into its depth's buffer; return the
+        capacity, an upper bound on what the whole subtree can still add."""
         depth = len(self.stack)
-        if not replaying:
-            self._count_node()
-            self._record()
-        start = self.stack[-1][0] + 1 if self.stack else 0
-        buf = self._buf(depth)
-        capacity = list_extensions(
+        return list_extensions(
             self.cnt,
             self.codes[:depth],
             self.tm[:depth],
@@ -263,18 +269,37 @@ class _Searcher:
             self.pool_a,
             self.pool_b,
             self.pool_c,
-            start,
+            self.stack[-1][0] + 1 if self.stack else 0,
             self.cfg.max_multiplicity,
-            buf,
+            self._buf(depth),
         )
-        if not replaying and self.size + capacity < self._needed():
-            return
+
+    def _process(self, replay: list[tuple[int, int]], capacity: int) -> None:
+        """Count and record the node on the stack, then try its children.
+
+        A child is dropped, before its labeling DFS, once its size plus
+        capacity cannot reach _needed(); that is read for every child,
+        because the best rises as the DFS goes.  The forced branches of a
+        checkpoint replay are never dropped.
+        """
+        replaying = bool(replay)
+        depth = len(self.stack)
+        if not replaying:
+            self._count_node()
+            self._record()
+        start = self.stack[-1][0] + 1 if self.stack else 0
+        buf = self._buf(depth)
         forced = replay[0] if replaying else None
         sup = self.sup
+        # rest is the capacity of buf[idx:], and bounds every later child
+        rest = capacity
         for idx in range(start, self.total):
             mm = buf[idx]
             if mm == 0:
                 continue
+            if not replaying and self.size + rest < self._needed():
+                break
+            rest -= mm
             # fresh vertices must take the next free labels
             a, b, c = self.pool[idx]
             if c >= sup:
@@ -293,12 +318,15 @@ class _Searcher:
                         )
                     # forced branch: descend without recounting ancestors
                     self._push(idx, m)
-                    self._process(replay[1:])
+                    self._process(replay[1:], self._list())
                     self._pop()
                     replaying = False
                     continue
+                if self.size + m + rest < self._needed():
+                    continue
                 self._push(idx, m)
-                if is_min_labeled(
+                cap = self._list()
+                if self.size + cap >= self._needed() and is_min_labeled(
                     self.ta[: depth + 1],
                     self.tb[: depth + 1],
                     self.tc[: depth + 1],
@@ -306,7 +334,7 @@ class _Searcher:
                     self.labels[: self.sup],
                     self.cfg.n,
                 ):
-                    self._process([])
+                    self._process([], cap)
                 self._pop()
         if replaying:
             raise SearchError("checkpoint prefix is not a valid extension path")

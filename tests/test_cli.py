@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from rainbowfree.constructions import (
     t_star,
 )
 from rainbowfree.family import (
+    MAX_MEMBERS,
     MAX_VERTICES,
     MULTISET,
     SET,
@@ -267,6 +269,29 @@ def test_large_n_within_memory_cap(tmp_path):
         assert proc.stderr == (
             f"error: vertex count must be <= {MAX_VERTICES}, got {n}\n"
         ), argv
+
+
+def test_construct_refuses_by_member_count():
+    # 200,000 vertices pass MAX_VERTICES, but t_star would have 5 * 10^9
+    # members: refused before building one, so the run costs no more than
+    # a 2-member construction does, interpreter start-up included
+    def timed(argv):
+        start = time.monotonic()
+        proc = _run_capped(argv)
+        return proc, time.monotonic() - start
+
+    _, tiny = timed(["construct", "tstar", "--n", "4"])
+    for argv, count in (
+        (["construct", "tstar", "--n", "200000"], 50_000 * 100_000),
+        (["construct", "pairs", "--n", "9000", "--pairs", "1000", "--apexes", "7000"], 7_000_000),
+    ):
+        proc, took = timed(argv)
+        assert proc.returncode == LIMIT, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: member count must be <= {MAX_MEMBERS}, got {count}\n"
+        ), argv
+        assert took < tiny + 1.0, (argv, took, tiny)
 
 
 # -- search

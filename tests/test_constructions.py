@@ -17,8 +17,10 @@ from rainbowfree.constructions import (
     t_star,
 )
 from rainbowfree.family import (
+    MAX_MEMBERS,
     MULTISET,
     TrifamError,
+    VertexLimitError,
     family_from_triangles,
     triangle_edges,
     union_graph,
@@ -62,6 +64,17 @@ def test_t_star_sizes_and_freeness():
         assert 8 * f.size == n * n
         assert has_rainbow(f) is False
     assert t_star(8).size == 8
+
+
+def test_member_limit():
+    # t_star(60) has 450 members, far below the limit, and is built as before
+    f = t_star(60)
+    assert f.members == tuple(
+        ((2 * i, 2 * i + 1, a), 1) for i in range(15) for a in range(30, 60)
+    )
+    # one pair past the limit is refused before any member is built
+    with pytest.raises(VertexLimitError, match=f"must be <= {MAX_MEMBERS}, got 1000002$"):
+        pair_family(1_000_000, 2, 500_001)
 
 
 def test_t_star_validation():

@@ -140,6 +140,15 @@ def test_set_census_is_the_pair_families():
     assert counts == [1, 1, 2, 1, 1, 1, 2]
 
 
+def test_set_census_n11():
+    # the node count repeats exactly from run to run; it pins the capacity
+    # cut that drops a child before its labeling DFS
+    r = enumerate_extremal(11)
+    assert r.completed and r.best_size == 15 and r.extremal_class_count == 1
+    assert are_isomorphic(r.witnesses[0], pair_family(11, 3, 5))
+    assert r.nodes_explored == 401
+
+
 def test_multiset_census():
     sizes, counts = [], []
     for n in range(4, 10):
@@ -166,7 +175,7 @@ def test_repeat_runs_are_identical():
 def test_node_limit_stops_early():
     r = max_family(7, node_limit=8)
     assert not r.completed and r.nodes_explored == 8
-    # refuting k = 9 at n = 8 takes 43 nodes
+    # refuting k = 9 at n = 8 takes 15 nodes
     r = prove_size(8, 9, node_limit=3)
     assert not r.completed and r.found is None and r.nodes_explored == 3
 
@@ -207,6 +216,27 @@ def test_checkpoint_hop_budgets(tmp_path):
     assert hops > 2
     assert _result_key(r) == _result_key(base)
     assert r.nodes_explored == base.nodes_explored
+
+
+@pytest.mark.parametrize("target,k", [("enumerate", 0), ("prove", 8), ("prove", 9)])
+def test_checkpoint_one_node_hops(tmp_path, target, k):
+    # a hop after every node resumes across each rise of the best, which
+    # the capacity cut reads for every child; k = 8 is found, k = 9 refuted
+    ck = str(tmp_path / "hop.ckpt")
+    base = run_search(SearchConfig(n=8, target=target, prove_k=k))
+    assert base.completed
+    assert base.found is (None if target == "enumerate" else k == 8)
+    r = run_search(
+        SearchConfig(n=8, target=target, prove_k=k, node_limit=1, checkpoint_path=ck)
+    )
+    hops = 1
+    while not r.completed:
+        assert r.nodes_explored == hops
+        r = resume_search(ck, node_limit=1, checkpoint_path=ck)
+        hops += 1
+    assert r.nodes_explored == base.nodes_explored == hops
+    assert _result_key(r) == _result_key(base)
+    assert (r.found, r.extremal_class_count) == (base.found, base.extremal_class_count)
 
 
 def test_prove_checkpoint_resume(tmp_path):
