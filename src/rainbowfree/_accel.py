@@ -1,16 +1,16 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Hot kernels of the rainbow tests, the extension lists and the labeling DFS.
 
-Set RAINBOWFREE_NO_NUMBA=1 to force the pure-Python fallback; the same
-source then runs uncompiled, so both paths share one implementation.
-USING_NUMBA reports which path is active.  All kernels work on int64
-numpy arrays and plain ints.  Packed values use a radix derived from n
-(the rainbow kernels pack triples with radix n, the labeling DFS packs
-member codes with radix n + 2), so no kernel caps the vertex count.
+The kernels run on Python ints and lists: they read one entry at a time,
+which a list does several times faster than a numpy array.  There is one
+lane; USING_NUMBA = False names it for the benchmark records.
+Packed values use a radix derived from n (the rainbow kernels pack
+triples with radix n, the labeling DFS packs member codes with radix
+n + 2), so no kernel caps the vertex count.
 
-The rainbow kernels take a family as cnt, the symmetric edge owner-count
-matrix, codes, the members' packed triples (a*n+b)*n+c ascending, and tm,
-their multiplicities.  A triple's own multiplicity is found in codes by
-binary search, so no kernel input grows with n^3.
+The rainbow kernels take a family as cnt, the symmetric edge owner counts
+as a list of n rows, codes, the members' packed triples (a*n+b)*n+c
+ascending, and tm, their multiplicities.  A triple's own multiplicity is
+found in codes by binary search, so no kernel input grows with n^3.
 
 Rainbow test used throughout: a vertex triple is rainbow iff its three
 edges exist and admit a system of distinct representatives among owner
@@ -31,67 +31,50 @@ and both multiplicities: one call costs O(n^3) for the C(n,3) pool.
 from __future__ import annotations
 
 import itertools
-import os
-
-import numpy as np
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("RAINBOWFREE_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes")
-
+from array import array
+from bisect import bisect_left
 
 USING_NUMBA = False
-if _want_numba():
-    try:
-        from numba import njit  # type: ignore[import-untyped]
 
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-if USING_NUMBA:
-
-    def _jit(fn):
-        return njit(cache=True)(fn)
-
-else:
-
-    def _jit(fn):
-        return fn
+_INF = 1 << 62
 
 
-_INF = np.int64(1) << 62
+def build_pool(n: int) -> tuple[list[tuple[int, int, int]], memoryview, memoryview, memoryview]:
+    """All triangles on 0..n-1 in lexicographic order, plus their vertex columns.
 
-
-def build_pool(n: int) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray, np.ndarray]:
-    """All triangles on 0..n-1 in lexicographic order, plus their vertex columns."""
+    Each column is a one-dimensional int64 memoryview: it has a shape and
+    indexes to Python ints.
+    """
     pool = list(itertools.combinations(range(n), 3))
-    pool_a, pool_b, pool_c = np.array(pool, np.int64).reshape(-1, 3).T.copy()
-    return pool, pool_a, pool_b, pool_c
+    cols = (memoryview(array("q", [t[k] for t in pool])) for k in range(3))
+    return (pool, *cols)
 
 
-def member_columns(members) -> np.ndarray:
-    """Rows ta, tb, tc, tm of (triangle, multiplicity) pairs sorted by triangle."""
-    rows = [(*t, m) for t, m in sorted(members)]
-    return np.array(rows, np.int64).reshape(-1, 4).T.copy()
+def member_columns(members) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Lists ta, tb, tc, tm of (triangle, multiplicity) pairs sorted by triangle."""
+    rows = sorted(members)
+    return (
+        [t[0] for t, _ in rows],
+        [t[1] for t, _ in rows],
+        [t[2] for t, _ in rows],
+        [m for _, m in rows],
+    )
 
 
-@_jit
 def add_member(cnt, a, b, c, m):
     """Add m copies of member (a, b, c) to the owner counts.
 
     A negative m removes copies.
     """
-    cnt[a, b] += m
-    cnt[b, a] += m
-    cnt[a, c] += m
-    cnt[c, a] += m
-    cnt[b, c] += m
-    cnt[c, b] += m
+    ra, rb, rc = cnt[a], cnt[b], cnt[c]
+    ra[b] += m
+    rb[a] += m
+    ra[c] += m
+    rc[a] += m
+    rb[c] += m
+    rc[b] += m
 
 
-@_jit
 def _hall3(c1, c2, c3, cm):
     # SDR over the three edge slots of a triple, by counting (see module doc)
     if c1 < 1 or c2 < 1 or c3 < 1:
@@ -107,52 +90,53 @@ def _hall3(c1, c2, c3, cm):
     return 1
 
 
-@_jit
 def _mult(codes, tm, code):
     """Multiplicity of the member with packed code `code`, 0 for a non-member."""
-    i = np.searchsorted(codes, code)
-    if i < codes.shape[0] and codes[i] == code:
+    i = bisect_left(codes, code)
+    if i < len(codes) and codes[i] == code:
         return tm[i]
     return 0
 
 
-@_jit
 def rainbow_triple_scan(cnt, codes, tm, n):
     """First rainbow triple in lexicographic order, packed (x*n+y)*n+z.
 
     Returns -1 when the family is rainbow-free.
     """
     for x in range(n):
+        rx = cnt[x]
         for y in range(x + 1, n):
-            if cnt[x, y] == 0:
+            cxy = rx[y]
+            if cxy == 0:
                 continue
+            ry = cnt[y]
             for z in range(y + 1, n):
-                if cnt[x, z] == 0 or cnt[y, z] == 0:
+                if rx[z] == 0 or ry[z] == 0:
                     continue
                 code = (x * n + y) * n + z
-                if _hall3(cnt[x, y], cnt[x, z], cnt[y, z], _mult(codes, tm, code)) == 1:
+                if _hall3(cxy, rx[z], ry[z], _mult(codes, tm, code)) == 1:
                     return code
     return -1
 
 
-@_jit
 def _edge_witness(cnt, codes, tm, n, a, b):
     """Would some (a, b, w) turn rainbow once new copies own the edge (a, b)?
 
     A new copy owns (a, b) and no other edge of (a, b, w) unless w is its
     opposite vertex.  For every other w, (a, b, w) becomes rainbow iff
     (a, w) and (b, w) get distinct owners: both counts are at least 1 and,
-    as the cm copies of (a, b, w) own both, cnt[a, w] + cnt[b, w] - cm >= 2
-    (the _hall3 test with c1 = cnt[a, b] + m reduces to this, because
-    cnt[a, b] >= cm and m >= 1).  So the answer depends on the edge alone,
+    as the cm copies of (a, b, w) own both, cnt[a][w] + cnt[b][w] - cm >= 2
+    (the _hall3 test with c1 = cnt[a][b] + m reduces to this, because
+    cnt[a][b] >= cm and m >= 1).  So the answer depends on the edge alone,
     not on the number of copies or the opposite vertex.  Returns 1 if some
     w qualifies, else 0.
     """
+    ra, rb = cnt[a], cnt[b]
     for w in range(n):
         if w == a or w == b:
             continue
-        caw = cnt[a, w]
-        cbw = cnt[b, w]
+        caw = ra[w]
+        cbw = rb[w]
         if caw < 1 or cbw < 1:
             continue
         if w < a:
@@ -166,7 +150,6 @@ def _edge_witness(cnt, codes, tm, n, a, b):
     return 0
 
 
-@_jit
 def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
     """Would adding m copies of (x, y, z), x < y < z, create a rainbow triple?
 
@@ -176,38 +159,33 @@ def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
     turns rainbow iff _edge_witness(a, b) is 1.  A witness w equal to the
     opposite vertex needs no exclusion: its test reads the counts of
     (a, w) and (b, w) without the new copies, and with them the own
-    triple passes the test above.  wit caches _edge_witness per edge (-1
-    where not yet computed) for every m and every triangle on the edge.
-    Returns 1 if a rainbow appears.
+    triple passes the test above.  wit maps a*n+b to _edge_witness(a, b)
+    for the edges already scanned, for every m and every triangle on the
+    edge.  Returns 1 if a rainbow appears.
     """
     own = _mult(codes, tm, (x * n + y) * n + z) + m
-    if _hall3(cnt[x, y] + m, cnt[x, z] + m, cnt[y, z] + m, own) == 1:
+    rx = cnt[x]
+    if _hall3(rx[y] + m, rx[z] + m, cnt[y][z] + m, own) == 1:
         return 1
-    for k in range(3):
-        if k == 0:
-            a, b = x, y
-        elif k == 1:
-            a, b = x, z
-        else:
-            a, b = y, z
-        if wit[a, b] < 0:
-            wit[a, b] = _edge_witness(cnt, codes, tm, n, a, b)
-        if wit[a, b] == 1:
+    for a, b in ((x, y), (x, z), (y, z)):
+        e = a * n + b
+        w = wit.get(e)
+        if w is None:
+            w = wit[e] = _edge_witness(cnt, codes, tm, n, a, b)
+        if w == 1:
             return 1
     return 0
 
 
-@_jit
 def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
     """Would adding add_m copies of (x, y, z), x < y < z, create a rainbow?
 
     Assumes the current family is rainbow-free.  Returns 1 if a rainbow
     appears; _after_add holds the rule.
     """
-    return _after_add(cnt, codes, tm, n, x, y, z, add_m, np.full((n, n), -1, np.int8))
+    return _after_add(cnt, codes, tm, n, x, y, z, add_m, {})
 
 
-@_jit
 def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, out):
     """Record the largest rainbow-safe multiplicity per pool triangle >= start.
 
@@ -221,14 +199,12 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
     for the whole call, so each edge is scanned for witnesses at most once
     and a call costs O(n^3) for the C(n,3) pool.
     """
-    wit = np.full((n, n), -1, np.int8)
-    total = pool_a.shape[0]
+    wit: dict[int, int] = {}
     cap = 0
-    for idx in range(start, total):
+    for idx, a, b, c in zip(
+        range(start, pool_a.shape[0]), pool_a[start:], pool_b[start:], pool_c[start:]
+    ):
         out[idx] = 0
-        a = pool_a[idx]
-        b = pool_b[idx]
-        c = pool_c[idx]
         if _after_add(cnt, codes, tm, n, a, b, c, 1, wit) == 1:
             continue
         m = 1
@@ -239,7 +215,6 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
     return cap
 
 
-@_jit
 def _orbit_root(par, x):
     """Smallest position in the orbit of x (union-find with path halving)."""
     while par[x] != x:
@@ -248,30 +223,31 @@ def _orbit_root(par, x):
     return x
 
 
-@_jit
-def _bounds(ta, tb, tc, tm, lab, nass, r, vec):
-    """Fill vec with the sorted per-member code bounds; return the least
-    bound of an undetermined member (_INF when every member is determined).
+def _bounds(mem, lab, nass, r):
+    """The sorted per-member code bounds, and the least bound of an
+    undetermined member (_INF when every member is determined).
 
-    A member whose three vertices are labeled has its exact code.  The
-    others give their unlabeled slots the smallest fresh labels nass,
-    nass + 1, ..., which exceed every assigned label, so each bound is at
-    most the member's code in any completion.  Sorting keeps that
-    componentwise, so vec is at most the final sorted code sequence of
-    every completion, and its entries below the returned bound are final.
+    mem lists the members as (a, b, c, m).  A member whose three vertices
+    are labeled has its exact code.  The others give their unlabeled
+    slots the smallest fresh labels nass, nass + 1, ..., which exceed
+    every assigned label, so each bound is at most the member's code in
+    any completion.  Sorting keeps that componentwise, so the bounds are
+    at most the final sorted code sequence of every completion, and the
+    entries below the returned bound are final.
     """
     lb = _INF
-    for i in range(ta.shape[0]):
+    vec = []
+    for a, b, c, m in mem:
         fresh = nass
-        x0 = lab[ta[i]]
+        x0 = lab[a]
         if x0 < 0:
             x0 = fresh
             fresh += 1
-        x1 = lab[tb[i]]
+        x1 = lab[b]
         if x1 < 0:
             x1 = fresh
             fresh += 1
-        x2 = lab[tc[i]]
+        x2 = lab[c]
         if x2 < 0:
             x2 = fresh
             fresh += 1
@@ -281,72 +257,60 @@ def _bounds(ta, tb, tc, tm, lab, nass, r, vec):
             x1, x2 = x2, x1
             if x0 > x1:
                 x0, x1 = x1, x0
-        code = ((x0 * r + x1) * r + x2) * 4 + tm[i]
-        vec[i] = code
+        code = ((x0 * r + x1) * r + x2) * 4 + m
+        vec.append(code)
         if fresh > nass and code < lb:
             lb = code
     vec.sort()
-    return lb
+    return vec, lb
 
 
-@_jit
-def _first_diff(a, b):
-    """First index where a and b differ, their length when equal."""
-    j = 0
-    while j < a.shape[0] and a[j] == b[j]:
-        j += 1
-    return j
-
-
-@_jit
-def _dive(ta, tb, tc, tm, sup, r, lab, choice, level, vec, best, bpath, out_lab):
-    """Complete a partial labeling greedily; its codes become best.
+def _dive(mem, sup, r, lab, choice, level, vec, bpath, out_lab):
+    """Complete a partial labeling greedily; return its codes.
 
     lab holds labels 0..level-1, on positions choice[0..level-1]; when
     level is s the labeling is complete and vec holds its codes.  Each
     further label goes to the unused position whose sorted bound vector
     is lexicographically least, the first such position on ties.  The
-    complete labeling's codes go to best, its path (position by label)
-    to bpath and its labels to out_lab; lab is left unchanged.
+    complete labeling's path (position by label) goes to bpath and its
+    labels to out_lab; lab is left unchanged.
     """
-    k = ta.shape[0]
-    s = sup.shape[0]
+    s = len(sup)
     out_lab[:] = lab
     bpath[:level] = choice[:level]
-    if level == s:
-        best[:] = vec
+    best = vec
     for l in range(level, s):
         pick = -1
         for c in range(s):
-            if out_lab[sup[c]] >= 0:
+            v = sup[c]
+            if out_lab[v] >= 0:
                 continue
-            out_lab[sup[c]] = l
-            _bounds(ta, tb, tc, tm, out_lab, l + 1, r, vec)
-            out_lab[sup[c]] = -1
-            j = _first_diff(vec, best)
-            if pick < 0 or (j < k and vec[j] < best[j]):
-                best[:] = vec
+            out_lab[v] = l
+            cand, _ = _bounds(mem, out_lab, l + 1, r)
+            out_lab[v] = -1
+            if pick < 0 or cand < best:
+                best = cand
                 pick = c
         out_lab[sup[pick]] = l
         bpath[l] = pick
+    return best
 
 
-@_jit
-def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
+def _label_dfs(mem, sup, n, best, stop, out_lab):
     """Walk labelings of the support, comparing sorted member codes to best.
 
-    ta/tb/tc/tm are the member vertex columns and multiplicities; sup
-    lists the support vertices ascending.  Labelings are injections of
-    the support onto labels 0..s-1, walked by DFS in position order
-    (label 0 to each support position in turn, then label 1, ...).  A
-    branch is cut as soon as its sorted bound vector (see _bounds) is
-    lexicographically above best, which every completion then is too.
+    mem lists the members as (a, b, c, m); sup lists the support vertices
+    ascending.  Labelings are injections of the support onto labels
+    0..s-1, walked by DFS in position order (label 0 to each support
+    position in turn, then label 1, ...).  A branch is cut as soon as its
+    sorted bound vector (see _bounds) is lexicographically above best,
+    which every completion then is too.
 
     With stop=1, best holds the identity's codes, and the walk returns 1
     at the first node whose final codes are certain to end strictly below
     them; otherwise it returns 0.
 
-    With stop=0, best is output only, and the walk finds the minimal code
+    With stop=0, best is not read, and the walk finds the minimal code
     sequence and the first labeling in position order attaining it, whose
     labels go to out_lab (-1 off the support), in three steps:
     1. a greedy descent from the root (see _dive) seeds best and bpath,
@@ -373,61 +337,58 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     ties keep the earlier labeling.  best, out_lab and the return value
     are therefore the same as without pruning.
     """
-    k = ta.shape[0]
-    s = sup.shape[0]
+    k = len(mem)
+    s = len(sup)
     if k == 0 or s == 0:
         return 0
     r = n + 2  # exceeds every label, including the fresh ones
-    lab = np.full(n, -1, np.int64)
-    used = np.zeros(s, np.uint8)
-    choice = np.full(s, -1, np.int64)
-    vec = np.empty(k, np.int64)
+    lab = [-1] * n
+    used = [False] * s
+    choice = [-1] * s
     # with stop=1 the seed path is the identity, which a leaf can only tie
     # when sup is 0..s-1, and then this path attains best
-    bpath = np.arange(s)
+    bpath = list(range(s))
     if stop == 0:
-        _dive(ta, tb, tc, tm, sup, r, lab, choice, 0, vec, best, bpath, out_lab)
-    gens = np.empty((2 * s + 8, s), np.int64)
-    ngen = 0
+        best = _dive(mem, sup, r, lab, choice, 0, None, bpath, out_lab)
+    max_gens = 2 * s + 8
+    gens: list[list[int]] = []
     # per level: orbit forest of the stored automorphisms fixing the
     # prefix, and how many of them it has absorbed (-1: not built)
-    par = np.empty((s, s), np.int64)
-    seen = np.full(s, -1, np.int64)
+    par: list[list[int]] = [[] for _ in range(s)]
+    seen = [-1] * s
     level = 0
     while level >= 0:
         prev = choice[level]
         if prev >= 0:
-            used[prev] = 0
+            used[prev] = False
             lab[sup[prev]] = -1
         else:
             seen[level] = -1  # new prefix
         c = prev + 1
         while c < s:
-            if used[c] == 0:
-                if ngen == 0:
+            if not used[c]:
+                if not gens:
                     break
-                orb = par[level]
                 if seen[level] < 0:
-                    for i in range(s):
-                        orb[i] = i
+                    par[level] = list(range(s))
                     seen[level] = 0
-                for g in range(seen[level], ngen):
-                    fixes = True
+                orb = par[level]
+                for g in gens[seen[level] :]:
                     for j in range(level):
-                        if gens[g, choice[j]] != choice[j]:
-                            fixes = False
+                        if g[choice[j]] != choice[j]:
                             break
-                    if fixes:
+                    else:
+                        # g fixes the prefix: merge its orbits
                         for i in range(s):
-                            if gens[g, i] == i:
+                            if g[i] == i:
                                 continue
                             ra = _orbit_root(orb, i)
-                            rb = _orbit_root(orb, gens[g, i])
+                            rb = _orbit_root(orb, g[i])
                             if ra < rb:
                                 orb[rb] = ra
                             elif rb < ra:
                                 orb[ra] = rb
-                seen[level] = ngen
+                seen[level] = len(gens)
                 if _orbit_root(orb, c) == c:
                     break
             c += 1
@@ -436,21 +397,19 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
             level -= 1
             continue
         choice[level] = c
-        used[c] = 1
+        used[c] = True
         lab[sup[c]] = level
-        lb = _bounds(ta, tb, tc, tm, lab, level + 1, r, vec)
-        j = _first_diff(vec, best)
-        if j < k:
-            if vec[j] > best[j]:
+        vec, lb = _bounds(mem, lab, level + 1, r)
+        if vec != best:
+            if vec > best:
                 continue  # every completion is above best: next sibling
-            if vec[j] < lb:
-                # entries below lb are final, so every completion is
-                # strictly below best
+            # entries below lb are final, so when the first difference
+            # lies among them every completion is strictly below best
+            p = bisect_left(vec, lb)
+            if vec[:p] != best[:p]:
                 if stop == 1:
                     return 1
-                _dive(
-                    ta, tb, tc, tm, sup, r, lab, choice, level + 1, vec, best, bpath, out_lab
-                )
+                best = _dive(mem, sup, r, lab, choice, level + 1, vec, bpath, out_lab)
         elif level == s - 1:
             # a tie: store the automorphism carrying this path onto bpath
             d = 0
@@ -458,10 +417,11 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
                 d += 1
             if d == s:
                 continue
-            if ngen < gens.shape[0]:
+            if len(gens) < max_gens:
+                g = [0] * s
                 for i in range(s):
-                    gens[ngen, choice[i]] = bpath[i]
-                ngen += 1
+                    g[choice[i]] = bpath[i]
+                gens.append(g)
             if choice[d] < bpath[d]:
                 # this labeling comes first in position order
                 out_lab[:] = lab
@@ -469,7 +429,7 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
             else:
                 # jump back to where the two paths part
                 while level > d:
-                    used[choice[level]] = 0
+                    used[choice[level]] = False
                     lab[sup[choice[level]]] = -1
                     choice[level] = -1
                     level -= 1
@@ -479,7 +439,6 @@ def _label_dfs(ta, tb, tc, tm, sup, n, best, stop, out_lab):
     return 0
 
 
-@_jit
 def is_min_labeled(ta, tb, tc, tm, sup, n):
     """Is the identity labeling lexicographically minimal for these members?
 
@@ -487,11 +446,11 @@ def is_min_labeled(ta, tb, tc, tm, sup, n):
     smaller labeling exists, else 1.
     """
     r = n + 2
-    best = ((ta * r + tb) * r + tc) * 4 + tm
-    return 1 - _label_dfs(ta, tb, tc, tm, sup, n, best, 1, np.empty(0, np.int64))
+    mem = list(zip(ta, tb, tc, tm))
+    best = [((a * r + b) * r + c) * 4 + m for a, b, c, m in mem]
+    return 1 - _label_dfs(mem, sup, n, best, 1, None)
 
 
-@_jit
 def min_labeling(ta, tb, tc, tm, sup, n, out_lab):
     """Fill out_lab with the labeling minimizing the sorted code sequence.
 
@@ -500,6 +459,5 @@ def min_labeling(ta, tb, tc, tm, sup, n, out_lab):
     the first in position order; the greedy dives that _label_dfs uses to
     reach the minimum early do not change which one.
     """
-    out_lab[:] = -1
-    best = np.empty(ta.shape[0], np.int64)
-    _label_dfs(ta, tb, tc, tm, sup, n, best, 0, out_lab)
+    out_lab[:] = [-1] * n
+    _label_dfs(list(zip(ta, tb, tc, tm)), sup, n, None, 0, out_lab)

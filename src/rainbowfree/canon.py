@@ -30,15 +30,15 @@ collapsing label gaps never increases the sequence.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._accel import is_min_labeled, member_columns, min_labeling
 from .family import TriangleFamily, Triangle
 
 
-def _member_arrays(f: TriangleFamily) -> tuple[np.ndarray, ...]:
+def _member_arrays(
+    f: TriangleFamily,
+) -> tuple[list[int], list[int], list[int], list[int], tuple[int, ...]]:
     """ta, tb, tc, tm (see member_columns) and the support vertices."""
-    return (*member_columns(f.members), np.array(f.support_vertices(), np.int64))
+    return (*member_columns(f.members), f.support_vertices())
 
 
 def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFamily]:
@@ -50,9 +50,9 @@ def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFam
     mapping: dict[int, int] = {}
     if f.members:
         ta, tb, tc, tm, sup = _member_arrays(f)
-        lab = np.empty(f.n, np.int64)
+        lab = [-1] * f.n
         min_labeling(ta, tb, tc, tm, sup, f.n, lab)
-        mapping = {int(v): int(lab[v]) for v in sup}
+        mapping = {v: lab[v] for v in sup}
     taken = set(mapping.values())
     spare = iter(l for l in range(f.n) if l not in taken)
     for v in range(f.n):

@@ -280,8 +280,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     else:
         result = run_search(_search_config(args))
 
-    lines = [_kv(args, "best", result.best_size)]
-    if result.found is not None or result.target == PROVE:
+    lines = []
+    if result.target != PROVE or result.found:
+        # without a witness, best depends on the cuts and is no maximum
+        lines.append(_kv(args, "best", result.best_size))
+    if result.target == PROVE:
         if result.found:
             status = "found"
         elif result.completed:
@@ -439,8 +442,8 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         return args.func(args)
     except _LIMIT_ERRORS as exc:
-        # exit 1 would claim the property fails; numpy's MemoryError
-        # carries its own message
+        # exit 1 would claim the property fails; a MemoryError often
+        # carries no message of its own
         message = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"error: {message}", file=sys.stderr)
         return LIMIT

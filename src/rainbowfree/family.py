@@ -24,9 +24,9 @@ MODES = (SET, MULTISET)
 
 MAX_MULTIPLICITY = 2
 
-# Largest vertex count a family may have.  The kernels pack a member into
-# one int64 code with radix n + 2 that must stay below their 2^62
-# sentinel, which holds up to n = 1,664,508.
+# Largest vertex count a family may have.  The labeling DFS packs a member
+# into one code with radix n + 2 that must stay below its 2^62 sentinel,
+# which holds up to n = 1,664,508.
 MAX_VERTICES = 1_000_000
 
 # Largest member count a construction builds.  t_star(2828), with 999,698

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._accel import add_member, member_columns, rainbow_triple_scan
 from .family import (
     Edge,
@@ -40,13 +38,14 @@ def edge_owners(f: TriangleFamily, e: Edge) -> tuple[MemberRef, ...]:
     return tuple(out)
 
 
-def family_state(f: TriangleFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[int]]:
     """f as (cnt, codes, tm), the rainbow kernels' member format (see _accel)."""
-    cnt = np.zeros((f.n, f.n), np.int64)
+    n = f.n
+    cnt = [[0] * n for _ in range(n)]
     for (a, b, c), m in f.members:
         add_member(cnt, a, b, c, m)
     ta, tb, tc, tm = member_columns(f.members)
-    return cnt, (ta * f.n + tb) * f.n + tc, tm
+    return cnt, [(a * n + b) * n + c for a, b, c in zip(ta, tb, tc)], tm
 
 
 def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
@@ -59,7 +58,7 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     """
     if f.n < 3 or not f.members:
         return None
-    packed = int(rainbow_triple_scan(*family_state(f), f.n))
+    packed = rainbow_triple_scan(*family_state(f), f.n)
     if packed < 0:
         return None
     xy, z = divmod(packed, f.n)

@@ -19,8 +19,10 @@ exactly once; only the node count depends on the cuts.
 Targets share one engine. maximize and enumerate collect every canonical
 family of the best size reached (pruning only cuts branches that cannot
 tie the best). prove stops at the first family of the requested size in
-depth-first order; a refuted proof reports as best the largest family it
-met, which, like the node count, depends on the cuts.
+depth-first order. A proof that found no witness, refuted or undecided,
+still sets best_size to the largest family it met, but that value means
+nothing: like the node count, it depends on the cuts, and it is no
+maximum.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import errno
 import os
 import tempfile
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._accel import (
     add_member,
@@ -56,9 +56,9 @@ ENUMERATE = "enumerate"
 TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
-# its pool and lists their extensions for every child it tests, 0.17-0.6 s
-# a listing at n = 64 in the pure-Python lane, and no exhaustive search
-# near this size ends.
+# its pool and lists their extensions for every child it tests, 0.05-0.10 s
+# a listing at n = 64 (Python 3.11, 2-CPU machine), and no exhaustive
+# search near this size ends.
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
@@ -106,6 +106,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """What a search or a resumed checkpoint found.
+
+    best_size is the maximum for maximize and enumerate, and the witness
+    size for a proof that found one.  For a proof without a witness
+    (found False or None) it means nothing: it is the largest family the
+    walk met, which depends on the cuts.
+    """
+
     target: str
     best_size: int
     witnesses: tuple[TriangleFamily, ...]
@@ -119,7 +127,7 @@ def extend_ok(
     f: TriangleFamily,
     t: Triangle,
     add_m: int = 1,
-    state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    state: tuple[list[list[int]], list[int], list[int]] | None = None,
 ) -> bool:
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
@@ -157,14 +165,13 @@ class _Searcher:
         n = cfg.n
         self.pool, self.pool_a, self.pool_b, self.pool_c = build_pool(n)
         self.total = len(self.pool)
-        self.cnt = np.zeros((n, n), np.int64)
+        self.cnt = [[0] * n for _ in range(n)]
         # stack members as kernel columns, code-sorted since pushes ascend
-        self.codes = np.zeros(self.total + 1, np.int64)
-        self.ta = np.zeros(self.total + 1, np.int64)
-        self.tb = np.zeros(self.total + 1, np.int64)
-        self.tc = np.zeros(self.total + 1, np.int64)
-        self.tm = np.zeros(self.total + 1, np.int64)
-        self.labels = np.arange(n, dtype=np.int64)
+        self.codes: list[int] = []
+        self.ta: list[int] = []
+        self.tb: list[int] = []
+        self.tc: list[int] = []
+        self.tm: list[int] = []
         self.stack: list[tuple[int, int]] = []
         self.sup_stack: list[int] = []
         self.size = 0
@@ -174,24 +181,23 @@ class _Searcher:
         self.witnesses: list[_Snapshot] = []
         self.found_witness: _Snapshot | None = None
         self.completed = True
-        self._bufs: list[np.ndarray] = []
+        self._bufs: list[list[int]] = []
 
     # -- state plumbing
 
-    def _buf(self, depth: int) -> np.ndarray:
+    def _buf(self, depth: int) -> list[int]:
         while depth >= len(self._bufs):
-            self._bufs.append(np.zeros(self.total, np.int64))
+            self._bufs.append([0] * self.total)
         return self._bufs[depth]
 
     def _push(self, idx: int, m: int) -> None:
         a, b, c = self.pool[idx]
         add_member(self.cnt, a, b, c, m)
-        d = len(self.stack)
-        self.codes[d] = (a * self.cfg.n + b) * self.cfg.n + c
-        self.ta[d] = a
-        self.tb[d] = b
-        self.tc[d] = c
-        self.tm[d] = m
+        self.codes.append((a * self.cfg.n + b) * self.cfg.n + c)
+        self.ta.append(a)
+        self.tb.append(b)
+        self.tc.append(c)
+        self.tm.append(m)
         self.stack.append((idx, m))
         self.sup_stack.append(self.sup)
         self.size += m
@@ -202,6 +208,8 @@ class _Searcher:
         idx, m = self.stack.pop()
         a, b, c = self.pool[idx]
         add_member(self.cnt, a, b, c, -m)
+        for col in (self.codes, self.ta, self.tb, self.tc, self.tm):
+            col.pop()
         self.size -= m
         self.sup = self.sup_stack.pop()
 
@@ -260,18 +268,17 @@ class _Searcher:
     def _list(self) -> int:
         """List the stack's extensions into its depth's buffer; return the
         capacity, an upper bound on what the whole subtree can still add."""
-        depth = len(self.stack)
         return list_extensions(
             self.cnt,
-            self.codes[:depth],
-            self.tm[:depth],
+            self.codes,
+            self.tm,
             self.cfg.n,
             self.pool_a,
             self.pool_b,
             self.pool_c,
             self.stack[-1][0] + 1 if self.stack else 0,
             self.cfg.max_multiplicity,
-            self._buf(depth),
+            self._buf(len(self.stack)),
         )
 
     def _process(self, replay: list[tuple[int, int]], capacity: int) -> None:
@@ -327,12 +334,7 @@ class _Searcher:
                 self._push(idx, m)
                 cap = self._list()
                 if self.size + cap >= self._needed() and is_min_labeled(
-                    self.ta[: depth + 1],
-                    self.tb[: depth + 1],
-                    self.tc[: depth + 1],
-                    self.tm[: depth + 1],
-                    self.labels[: self.sup],
-                    self.cfg.n,
+                    self.ta, self.tb, self.tc, self.tm, range(self.sup), self.cfg.n
                 ):
                     self._process([], cap)
                 self._pop()

@@ -321,6 +321,16 @@ def test_search_prove_found_and_refuted(capsys):
     assert code == FAIL and "witness = refuted" in out
 
 
+def test_search_prove_without_witness_prints_no_best(capsys):
+    # the largest family a refuted or undecided proof met depends on the
+    # cuts and is no maximum (m(8) = 8), so no best= line is printed
+    argv = ["search", "--n", "8", "--prove", "9", "--porcelain"]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (FAIL, "witness=refuted\nwitnesses=0\n")
+    code, out, _ = run_cli(capsys, argv + ["--node-limit", "3"])
+    assert (code, out) == (LIMIT, "witness=undecided\nwitnesses=0\ncompleted=false\n")
+
+
 def test_search_multiset_prove(capsys):
     argv = ["search", "--n", "9", "--mode", "multiset", "--prove", "12"]
     code, out, _ = run_cli(capsys, argv)

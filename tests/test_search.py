@@ -6,7 +6,6 @@ import itertools
 import random
 import re
 
-import numpy as np
 import pytest
 
 import rainbowfree.search as search_module
@@ -429,12 +428,12 @@ def test_list_extensions_matches_brute_force():
                     m += 1
                 want.append(m)
             for start in range(len(pool) + 1):
-                out = np.full(len(pool), -1, np.int64)
+                out = [-1] * len(pool)
                 cap = list_extensions(
                     *state, n, pool_a, pool_b, pool_c, start, max_mult, out
                 )
-                assert out[:start].tolist() == [-1] * start
-                assert out[start:].tolist() == want[start:], (f, start, max_mult)
+                assert out[:start] == [-1] * start
+                assert out[start:] == want[start:], (f, start, max_mult)
                 assert cap == sum(want[start:])
 
 
