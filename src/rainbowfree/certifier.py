@@ -11,6 +11,13 @@ n^2/8 it also checks the structural facts that force the family to be
 t_star: no member inside B, the four colored-multigraph properties, and
 the matched-pairs decomposition.
 
+A is the lexicographically least maximum independent set, found by an
+exact solver that takes each connected component of the union graph
+apart. Maximum sizes add across components, so the per-component sets
+together are the same set a solver over the whole graph would find,
+while the work grows with the sum of the components' costs instead of
+their product.
+
 All arithmetic is exact (integers and fractions); every witness set is
 re-verified against the union graph rather than trusted.
 """
@@ -129,11 +136,16 @@ class CertifierReport:
 def max_independent_set(g: UnionGraph) -> tuple[Vertex, ...]:
     """Lexicographically least maximum independent set of g.
 
-    Exact branch and bound over vertex bitmasks with memoization;
-    degree-0 and degree-1 vertices are taken greedily (always safe for
-    the size). The lex-least maximum set is then grown front to back,
-    keeping a vertex exactly when the remainder can still reach the
-    optimum.
+    The graph is split into connected components by a bitmask flood
+    fill, and each component is solved apart: exact branch and bound
+    over vertex bitmasks with memoization, degree-0 and degree-1
+    vertices taken greedily (always safe for the size). Within a
+    component the lex-least maximum set is grown front to back, keeping
+    a vertex exactly when the rest of the component can still reach its
+    optimum. Because maximum sizes add across components, that test on
+    the whole graph depends only on the vertex's own component, so the
+    sorted union of the per-component sets is the whole graph's
+    lex-least maximum set, even when components interleave.
     """
     n = g.n
     if n > MIS_VERTEX_LIMIT:
@@ -171,21 +183,35 @@ def max_independent_set(g: UnionGraph) -> tuple[Vertex, ...]:
         memo[mask] = result
         return result
 
-    full = (1 << n) - 1
-    target = mis_size(full)
     chosen: list[Vertex] = []
-    mask = full
-    for v in range(n):
-        if not (mask >> v) & 1:
-            continue
-        after = mask & ~(adj[v] | (1 << v))
-        if len(chosen) + 1 + mis_size(after) == target:
-            chosen.append(v)
-            mask = after
-        else:
-            mask &= ~(1 << v)
-    assert len(chosen) == target
-    return tuple(chosen)
+    rest = (1 << n) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        rest &= ~comp
+        need = mis_size(comp)
+        mask = comp
+        m = comp
+        while m:
+            low = m & -m
+            m ^= low
+            if not mask & low:
+                continue
+            v = low.bit_length() - 1
+            after = mask & ~(adj[v] | low)
+            if 1 + mis_size(after) == need:
+                chosen.append(v)
+                need -= 1
+                mask = after
+            else:
+                mask &= ~low
+        assert need == 0
+    return tuple(sorted(chosen))
 
 
 def bipartition(g: UnionGraph) -> Bipartition:
@@ -263,14 +289,18 @@ def build_witness(
                 )
             picks[v] = ref
     i_b = tuple(sorted(picks))
-    for i, u in enumerate(i_b):
-        for v in i_b[i + 1 :]:
-            if g.has_edge(u, v):
-                tu, tv = f.members[picks[u][0]][0], f.members[picks[v][0]][0]
-                raise CertifierError(
-                    f"witness for {b} not independent: edge ({u},{v}) between "
-                    f"picks of {tu} and {tv}"
-                )
+    picked = sum(1 << v for v in i_b)
+    for u in i_b:
+        # the first u with a neighbour among the picks has none earlier
+        # (that one would have been found first), so the lowest is v > u
+        hit = g.adj[u] & picked
+        if hit:
+            v = (hit & -hit).bit_length() - 1
+            tu, tv = f.members[picks[u][0]][0], f.members[picks[v][0]][0]
+            raise CertifierError(
+                f"witness for {b} not independent: edge ({u},{v}) between "
+                f"picks of {tu} and {tv}"
+            )
     return IndependentWitness(b, i_b, picks)
 
 
@@ -334,25 +364,19 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
     of the same color sharing a vertex are both simple (no parallel
     copy). P4: every vertex has degree m, multiplicities counted.
     """
-    simple: set[Edge] = set()
     count: dict[Edge, int] = {}
     at: dict[Vertex, list[tuple[Edge, Vertex]]] = {v: [] for v in g.vertices}
+    nbr: dict[Vertex, int] = {v: 0 for v in g.vertices}
     for e, c in g.edges:
-        simple.add(e)
+        u, w = e
         count[e] = count.get(e, 0) + 1
-        at[e[0]].append((e, c))
-        at[e[1]].append((e, c))
+        at[u].append((e, c))
+        at[w].append((e, c))
+        nbr[u] |= 1 << w
+        nbr[w] |= 1 << u
 
-    p1 = True
-    verts = g.vertices
-    vn = len(verts)
-    for i in range(vn):
-        for j in range(i + 1, vn):
-            if (verts[i], verts[j]) not in simple:
-                continue
-            for k in range(j + 1, vn):
-                if (verts[i], verts[k]) in simple and (verts[j], verts[k]) in simple:
-                    p1 = False
+    # a triangle is an edge whose ends share a neighbour
+    p1 = not any(nbr[u] & nbr[w] for u, w in count)
 
     # 3-edge paths e1,e2,e3 on 4 distinct vertices: ends must differ in color
     p2 = True

@@ -44,6 +44,38 @@ def test_mis_matches_brute_force_on_random_graphs():
         assert got == best[0]  # size-maximal and lex-least
 
 
+def _connected_triangles(rng, block):
+    """Random triangles on the vertices of block whose union is connected."""
+    tris = [tuple(block[:3])]
+    for i, v in enumerate(block[3:], start=3):
+        x = rng.choice(block[:i])
+        y = rng.choice([u for u in block if u not in (v, x)])
+        tris.append((v, x, y))
+    for _ in range(rng.randint(0, 2)):
+        tris.append(tuple(rng.sample(block, 3)))
+    return tris
+
+
+def test_mis_matches_brute_force_on_disconnected_graphs():
+    rng = random.Random(2006)
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        sizes = [rng.randint(3, 14 // k) for _ in range(k)]
+        n = sum(sizes) + rng.randint(0, 14 - sum(sizes))
+        # shuffled labels make the components and isolated vertices interleave
+        perm = list(range(n))
+        rng.shuffle(perm)
+        tris: set[tuple[int, ...]] = set()
+        start = 0
+        for size in sizes:
+            block = perm[start : start + size]
+            start += size
+            tris.update(tuple(sorted(t)) for t in _connected_triangles(rng, block))
+        g = union_graph(family_from_triangles(n, sorted(tris)))
+        best = brute_max_independent_sets(n, list(g.edges))
+        assert max_independent_set(g) == best[0]
+
+
 def test_mis_empty_graph_takes_everything():
     g = union_graph(family_from_triangles(5, []))
     assert max_independent_set(g) == (0, 1, 2, 3, 4)
@@ -121,7 +153,11 @@ def test_witness_dependence_is_reported():
     g = union_graph(f)
     p = Bipartition(a=(0, 4, 5, 6), b=(1, 2, 3), e_b=((1, 2), (1, 3), (2, 3)))
     beta = build_beta(f, g, p)
-    with pytest.raises(CertifierError, match="not independent"):
+    with pytest.raises(
+        CertifierError,
+        match=r"^witness for 1 not independent: edge \(2,3\) between picks of "
+        r"\(1, 2, 5\) and \(1, 3, 6\)$",
+    ):
         build_witness(f, g, p, beta, 1)
 
 
@@ -188,6 +224,28 @@ def test_certify_multiset_uses_support():
     assert r.mode == MULTISET and r.size == 12 and r.support_size == 6
     assert r.eq1_value == 12
     assert r.verdict and not r.extremal
+
+
+def test_certify_seven_relabeled_doubled_nines():
+    # 63 vertices, one below the exact solver's limit: the union graph is
+    # seven interleaved 9-vertex components
+    rng = random.Random(63)
+    perm = list(range(63))
+    rng.shuffle(perm)
+    f = family_from_triangles(
+        63,
+        [
+            tuple(perm[9 * k + v] for v in t) + (m,)
+            for k in range(7)
+            for t, m in doubled_nine().members
+        ],
+        MULTISET,
+    )
+    r = certify(f)
+    assert r.verdict and len(r.partition.a) == 21
+    pore = render_report(r, porcelain=True).splitlines()
+    assert "A=0,1,2,3,4,5,6,7,9,13,18,20,23,24,37,38,39,40,43,53,62" in pore
+    assert "verdict=pass" in pore
 
 
 def test_certify_empty_family():
