@@ -17,8 +17,10 @@ GOLDEN = Path(__file__).parent / "data" / "kernels_golden.txt"
 
 DRIVER = r"""
 import itertools
+import os
 import random
 import sys
+import tempfile
 
 from rainbowfree._accel import USING_NUMBA
 from rainbowfree.canon import canonical_form, canonical_relabeling, is_canonical
@@ -32,7 +34,13 @@ from rainbowfree.family import (
     serialize_family,
 )
 from rainbowfree.rainbow import find_rainbow, render_certificate, shared_edge_count
-from rainbowfree.search import enumerate_extremal, extend_ok, max_family, prove_size
+from rainbowfree.search import (
+    enumerate_extremal,
+    extend_ok,
+    max_family,
+    prove_size,
+    resume_search,
+)
 
 out = ["lane " + ("numba" if USING_NUMBA else "python")]
 
@@ -83,6 +91,25 @@ r8 = max_family(8)
 out.append(f"max8 {r8.best_size} nodes {r8.nodes_explored}")
 for w in r8.witnesses:
     out.append("wit8 " + serialize_family(w).replace("\n", "|"))
+
+# checkpoints of searches stopped at a node limit, and of their resumed ends
+with tempfile.TemporaryDirectory() as tmp:
+    stop = os.path.join(tmp, "stop.ckpt")
+    end = os.path.join(tmp, "end.ckpt")
+    for name, run, limit in (
+        ("enum8", lambda **kw: enumerate_extremal(8, **kw), 12),
+        ("prove7-6", lambda **kw: prove_size(7, 6, mode=MULTISET, **kw), 4),
+    ):
+        r = run(node_limit=limit, checkpoint_path=stop)
+        out.append(f"ckpt-{name} completed {r.completed} nodes {r.nodes_explored}")
+        with open(stop) as fh:
+            out.append(f"ckpt-{name}-stop " + fh.read().replace("\n", "|"))
+        r = resume_search(stop, checkpoint_path=end)
+        out.append(
+            f"ckpt-{name}-resumed best {r.best_size} nodes {r.nodes_explored} found {r.found}"
+        )
+        with open(end) as fh:
+            out.append(f"ckpt-{name}-end " + fh.read().replace("\n", "|"))
 
 # automorphism-rich inputs, where the labeling DFS meets many tied leaves
 rng = random.Random(20222)
