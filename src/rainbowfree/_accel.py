@@ -11,6 +11,8 @@ The rainbow kernels take a family as cnt, the symmetric edge owner counts
 as a list of n rows, codes, the members' packed triples (a*n+b)*n+c
 ascending, and tm, their multiplicities.  A triple's own multiplicity is
 found in codes by binary search, so no kernel input grows with n^3.
+The labeling DFS takes the member rows (a, b, c, m) in ascending order
+and works out the support from them.
 
 Rainbow test used throughout: a vertex triple is rainbow iff its three
 edges exist and admit a system of distinct representatives among owner
@@ -48,17 +50,6 @@ def build_pool(n: int) -> tuple[list[tuple[int, int, int]], memoryview, memoryvi
     pool = list(itertools.combinations(range(n), 3))
     cols = (memoryview(array("q", [t[k] for t in pool])) for k in range(3))
     return (pool, *cols)
-
-
-def member_columns(members) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Lists ta, tb, tc, tm of (triangle, multiplicity) pairs sorted by triangle."""
-    rows = sorted(members)
-    return (
-        [t[0] for t, _ in rows],
-        [t[1] for t, _ in rows],
-        [t[2] for t, _ in rows],
-        [m for _, m in rows],
-    )
 
 
 def add_member(cnt, a, b, c, m):
@@ -296,15 +287,16 @@ def _dive(mem, sup, r, lab, choice, level, vec, bpath, out_lab):
     return best
 
 
-def _label_dfs(mem, sup, n, best, stop, out_lab):
+def _label_dfs(mem, n, best, stop, out_lab):
     """Walk labelings of the support, comparing sorted member codes to best.
 
-    mem lists the members as (a, b, c, m); sup lists the support vertices
-    ascending.  Labelings are injections of the support onto labels
-    0..s-1, walked by DFS in position order (label 0 to each support
-    position in turn, then label 1, ...).  A branch is cut as soon as its
-    sorted bound vector (see _bounds) is lexicographically above best,
-    which every completion then is too.
+    mem lists the member rows (a, b, c, m) ascending; the support is the
+    set of their vertices, s of them, and a support position is a
+    vertex's rank in it.  Labelings are injections of the support onto
+    labels 0..s-1, walked by DFS in position order (label 0 to each
+    support position in turn, then label 1, ...).  A branch is cut as
+    soon as its sorted bound vector (see _bounds) is lexicographically
+    above best, which every completion then is too.
 
     With stop=1, best holds the identity's codes, and the walk returns 1
     at the first node whose final codes are certain to end strictly below
@@ -337,10 +329,10 @@ def _label_dfs(mem, sup, n, best, stop, out_lab):
     ties keep the earlier labeling.  best, out_lab and the return value
     are therefore the same as without pruning.
     """
-    k = len(mem)
-    s = len(sup)
-    if k == 0 or s == 0:
+    if not mem:
         return 0
+    sup = sorted({v for a, b, c, _ in mem for v in (a, b, c)})
+    s = len(sup)
     r = n + 2  # exceeds every label, including the fresh ones
     lab = [-1] * n
     used = [False] * s
@@ -439,25 +431,25 @@ def _label_dfs(mem, sup, n, best, stop, out_lab):
     return 0
 
 
-def is_min_labeled(ta, tb, tc, tm, sup, n):
+def is_min_labeled(mem, n):
     """Is the identity labeling lexicographically minimal for these members?
 
-    ta/tb/tc/tm must be sorted by member code.  Returns 0 when a strictly
-    smaller labeling exists, else 1.
+    mem lists the member rows (a, b, c, m) ascending.  Returns 0 when a
+    strictly smaller labeling exists, else 1.
     """
     r = n + 2
-    mem = list(zip(ta, tb, tc, tm))
     best = [((a * r + b) * r + c) * 4 + m for a, b, c, m in mem]
-    return 1 - _label_dfs(mem, sup, n, best, 1, None)
+    return 1 - _label_dfs(mem, n, best, 1, None)
 
 
-def min_labeling(ta, tb, tc, tm, sup, n, out_lab):
+def min_labeling(mem, n, out_lab):
     """Fill out_lab with the labeling minimizing the sorted code sequence.
 
-    out_lab[v] is the new label of support vertex v, -1 for vertices
-    outside the support.  Of the labelings attaining the minimum it is
-    the first in position order; the greedy dives that _label_dfs uses to
-    reach the minimum early do not change which one.
+    mem lists the member rows (a, b, c, m) ascending.  out_lab[v] is the
+    new label of support vertex v, -1 for vertices outside the support.
+    Of the labelings attaining the minimum it is the first in position
+    order; the greedy dives that _label_dfs uses to reach the minimum
+    early do not change which one.
     """
     out_lab[:] = [-1] * n
-    _label_dfs(list(zip(ta, tb, tc, tm)), sup, n, None, 0, out_lab)
+    _label_dfs(mem, n, None, 0, out_lab)

@@ -6,10 +6,11 @@ matter).  The canonical form is the lexicographically least sorted member
 sequence over all relabelings, and the canonical map is the first
 labeling in position order that attains it (label 0 to the least possible
 support vertex, then label 1, and so on).  canonical_relabeling and
-is_canonical both use the one labeling DFS in _accel, a backtracking
-search over label assignments that cuts a branch once the sorted bounds
-of its member codes exceed the best sequence.  is_canonical stops at the
-first labeling below the identity.  canonical_relabeling finds the map in
+is_canonical both pass the member rows (a, b, c, m), ascending, to the
+one labeling DFS in _accel, a backtracking search over label
+assignments that cuts a branch once the sorted bounds of its member
+codes exceed the best sequence.  is_canonical stops at the first
+labeling below the identity.  canonical_relabeling finds the map in
 three steps: a greedy descent gives each label to the vertex whose bounds
 are least, which seeds the best sequence; the DFS lowers it to the
 minimum, diving greedily again wherever a branch is certain to beat it;
@@ -30,15 +31,8 @@ collapsing label gaps never increases the sequence.
 
 from __future__ import annotations
 
-from ._accel import is_min_labeled, member_columns, min_labeling
+from ._accel import is_min_labeled, min_labeling
 from .family import TriangleFamily, Triangle
-
-
-def _member_arrays(
-    f: TriangleFamily,
-) -> tuple[list[int], list[int], list[int], list[int], tuple[int, ...]]:
-    """ta, tb, tc, tm (see member_columns) and the support vertices."""
-    return (*member_columns(f.members), f.support_vertices())
 
 
 def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFamily]:
@@ -49,10 +43,9 @@ def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFam
     """
     mapping: dict[int, int] = {}
     if f.members:
-        ta, tb, tc, tm, sup = _member_arrays(f)
         lab = [-1] * f.n
-        min_labeling(ta, tb, tc, tm, sup, f.n, lab)
-        mapping = {v: lab[v] for v in sup}
+        min_labeling([(*t, m) for t, m in sorted(f.members)], f.n, lab)
+        mapping = {v: l for v, l in enumerate(lab) if l >= 0}
     taken = set(mapping.values())
     spare = iter(l for l in range(f.n) if l not in taken)
     for v in range(f.n):
@@ -81,8 +74,7 @@ def is_canonical(f: TriangleFamily) -> bool:
     """Is f labeled canonically (identity relabeling is minimal)?"""
     if not f.members:
         return True
-    ta, tb, tc, tm, sup = _member_arrays(f)
-    return bool(is_min_labeled(ta, tb, tc, tm, sup, f.n))
+    return bool(is_min_labeled([(*t, m) for t, m in sorted(f.members)], f.n))
 
 
 def are_isomorphic(f1: TriangleFamily, f2: TriangleFamily) -> bool:

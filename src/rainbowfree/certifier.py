@@ -378,9 +378,11 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
     # a triangle is an edge whose ends share a neighbour
     p1 = not any(nbr[u] & nbr[w] for u, w in count)
 
-    # 3-edge paths e1,e2,e3 on 4 distinct vertices: ends must differ in color
+    # 3-edge paths e1,e2,e3 on 4 distinct vertices: ends must differ in
+    # color; the middle edge's color plays no part, so each distinct edge
+    # is a middle edge once, however many copies it has
     p2 = True
-    for (u, w), _ in g.edges:
+    for u, w in count:
         for e1, c1 in at[u]:
             if w in e1:
                 continue

@@ -25,7 +25,9 @@ maps an error to exit code 2 or 3.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 
 from .canon import are_isomorphic, canonical_relabeling
 from .certifier import MISLimitError, RainbowFamilyError, certify, render_report
@@ -263,6 +265,14 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.out:
+        # the witness files come after the whole search: refuse a
+        # directory that takes no file before the first node
+        directory = os.path.dirname(os.path.abspath(args.out + "-0"))
+        try:
+            tempfile.TemporaryFile(dir=directory).close()
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}-0: {exc}") from exc
     if args.resume is not None:
         for dest, flag in (("n", "--n"), ("mode", "--mode"), ("prove", "--prove")):
             if getattr(args, dest) is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._accel import add_member, member_columns, rainbow_triple_scan
+from ._accel import add_member, rainbow_triple_scan
 from .family import (
     Edge,
     MemberRef,
@@ -44,8 +44,8 @@ def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[in
     cnt = [[0] * n for _ in range(n)]
     for (a, b, c), m in f.members:
         add_member(cnt, a, b, c, m)
-    ta, tb, tc, tm = member_columns(f.members)
-    return cnt, [(a * n + b) * n + c for a, b, c in zip(ta, tb, tc)], tm
+    rows = sorted(f.members)
+    return cnt, [(a * n + b) * n + c for (a, b, c), _ in rows], [m for _, m in rows]
 
 
 def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
@@ -55,14 +55,23 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     for it, the lexicographically least assignment of member copies to its
     three ascending edges.  Existence is decided by the counting form of
     Hall's condition; the assignment search below then always succeeds.
+
+    A rainbow triple lies inside the support, so the scan runs on the
+    support vertices relabeled in order, which keeps the least triple
+    least: memory and time grow with the support, not with n.
     """
-    if f.n < 3 or not f.members:
+    if not f.members:
         return None
-    packed = rainbow_triple_scan(*family_state(f), f.n)
+    sup = f.support_vertices()
+    rank = {v: i for i, v in enumerate(sup)}
+    members = tuple(((rank[a], rank[b], rank[c]), m) for (a, b, c), m in f.members)
+    s = len(sup)
+    packed = rainbow_triple_scan(*family_state(TriangleFamily(s, members, f.mode)), s)
     if packed < 0:
         return None
-    xy, z = divmod(packed, f.n)
-    triple: Triangle = (*divmod(xy, f.n), z)
+    xy, z = divmod(packed, s)
+    x, y = divmod(xy, s)
+    triple: Triangle = (sup[x], sup[y], sup[z])
     edges = triangle_edges(triple)
     owners = [edge_owners(f, e) for e in edges]
     for r1 in owners[0]:

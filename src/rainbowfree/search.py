@@ -158,7 +158,12 @@ _Snapshot = tuple[tuple[Triangle, int], ...]
 
 
 class _Searcher:
-    """The DFS core: orderly generation with capacity cuts and checkpoints."""
+    """The DFS core: orderly generation with capacity cuts and checkpoints.
+
+    The state is the stack of (pool index, multiplicity) members, their
+    owner counts and size; the member rows (a, b, c, m) and what the
+    kernels take are derived from the stack, O(k) for k members.
+    """
 
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -166,16 +171,8 @@ class _Searcher:
         self.pool, self.pool_a, self.pool_b, self.pool_c = build_pool(n)
         self.total = len(self.pool)
         self.cnt = [[0] * n for _ in range(n)]
-        # stack members as kernel columns, code-sorted since pushes ascend
-        self.codes: list[int] = []
-        self.ta: list[int] = []
-        self.tb: list[int] = []
-        self.tc: list[int] = []
-        self.tm: list[int] = []
         self.stack: list[tuple[int, int]] = []
-        self.sup_stack: list[int] = []
         self.size = 0
-        self.sup = 0
         self.nodes = 0
         self.best = -1
         self.witnesses: list[_Snapshot] = []
@@ -191,27 +188,18 @@ class _Searcher:
         return self._bufs[depth]
 
     def _push(self, idx: int, m: int) -> None:
-        a, b, c = self.pool[idx]
-        add_member(self.cnt, a, b, c, m)
-        self.codes.append((a * self.cfg.n + b) * self.cfg.n + c)
-        self.ta.append(a)
-        self.tb.append(b)
-        self.tc.append(c)
-        self.tm.append(m)
+        add_member(self.cnt, *self.pool[idx], m)
         self.stack.append((idx, m))
-        self.sup_stack.append(self.sup)
         self.size += m
-        if c + 1 > self.sup:
-            self.sup = c + 1
 
     def _pop(self) -> None:
         idx, m = self.stack.pop()
-        a, b, c = self.pool[idx]
-        add_member(self.cnt, a, b, c, -m)
-        for col in (self.codes, self.ta, self.tb, self.tc, self.tm):
-            col.pop()
+        add_member(self.cnt, *self.pool[idx], -m)
         self.size -= m
-        self.sup = self.sup_stack.pop()
+
+    def _rows(self) -> list[tuple[int, int, int, int]]:
+        """The stack's member rows (a, b, c, m), ascending."""
+        return [(*self.pool[idx], m) for idx, m in self.stack]
 
     def _snapshot(self) -> _Snapshot:
         return tuple((self.pool[i], m) for i, m in self.stack)
@@ -268,11 +256,12 @@ class _Searcher:
     def _list(self) -> int:
         """List the stack's extensions into its depth's buffer; return the
         capacity, an upper bound on what the whole subtree can still add."""
+        n = self.cfg.n
         return list_extensions(
             self.cnt,
-            self.codes,
-            self.tm,
-            self.cfg.n,
+            [(a * n + b) * n + c for a, b, c, _ in self._rows()],
+            [m for _, m in self.stack],
+            n,
             self.pool_a,
             self.pool_b,
             self.pool_c,
@@ -297,7 +286,8 @@ class _Searcher:
         start = self.stack[-1][0] + 1 if self.stack else 0
         buf = self._buf(depth)
         forced = replay[0] if replaying else None
-        sup = self.sup
+        # the support is 0..sup-1, so sup is the next fresh label
+        sup = max((self.pool[idx][2] for idx, _ in self.stack), default=-1) + 1
         # rest is the capacity of buf[idx:], and bounds every later child
         rest = capacity
         for idx in range(start, self.total):
@@ -334,7 +324,7 @@ class _Searcher:
                 self._push(idx, m)
                 cap = self._list()
                 if self.size + cap >= self._needed() and is_min_labeled(
-                    self.ta, self.tb, self.tc, self.tm, range(self.sup), self.cfg.n
+                    self._rows(), self.cfg.n
                 ):
                     self._process([], cap)
                 self._pop()

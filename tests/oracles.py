@@ -81,6 +81,23 @@ def brute_max_independent_sets(n: int, edges: list[tuple[int, int]]) -> list[tup
     return [()]
 
 
+def brute_end_colors_differ(edges) -> bool:
+    """Property P2 of a colored multigraph, by every 3-edge path.
+
+    edges lists ((u, v), color) copies.  Tries every ordered triple of
+    copies x-u, u-w, w-y on four distinct vertices and fails when the two
+    end copies share a color.
+    """
+    for (e1, c1), (e2, _), (e3, c3) in itertools.product(edges, repeat=3):
+        for u, w in (e2, e2[::-1]):
+            if u in e1 and w in e3:
+                x = e1[0] + e1[1] - u
+                y = e3[0] + e3[1] - w
+                if len({x, u, w, y}) == 4 and c1 == c3:
+                    return False
+    return True
+
+
 def random_family(
     rng: random.Random, n: int, max_members: int, mode: str = "set"
 ) -> TriangleFamily:

@@ -30,7 +30,7 @@ from rainbowfree.constructions import doubled_nine, pair_family, t_star
 from rainbowfree.family import MULTISET, family_from_triangles, union_graph
 from rainbowfree.rainbow import verify_certificate
 
-from oracles import brute_max_independent_sets, random_family
+from oracles import brute_end_colors_differ, brute_max_independent_sets, random_family
 
 
 def test_mis_matches_brute_force_on_random_graphs():
@@ -287,6 +287,18 @@ def test_tb_properties_on_constructed_violations():
     )
     _, p2, _, _ = check_tb_properties(g)
     assert p2
+    # random colored multigraphs, parallel copies included, against every
+    # 3-edge path
+    rng = random.Random(2)
+    for _ in range(300):
+        k = rng.randint(4, 7)
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        edges = tuple(
+            (rng.choice(pairs), rng.randrange(4)) for _ in range(rng.randint(0, 10))
+        )
+        g = ColoredMultigraph(vertices=tuple(range(k)), edges=edges, m=2)
+        _, p2, _, _ = check_tb_properties(g)
+        assert p2 == brute_end_colors_differ(edges), edges
     # P3: same-colored edges meet at a vertex and one is doubled
     g = ColoredMultigraph(
         vertices=(0, 1, 2),

@@ -227,7 +227,7 @@ def _run_capped(argv):
     )
 
 
-def test_large_n_within_memory_cap(tmp_path):
+def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
     # the state is an n x n count matrix (32 MB here) plus the members;
     # nothing of size n^3
     wide = family_from_triangles(2000, [(0, 1, 2), (0, 3, 4), (1997, 1998, 1999)])
@@ -238,10 +238,19 @@ def test_large_n_within_memory_cap(tmp_path):
     proc = _run_capped(["certify", path])
     assert proc.returncode == LIMIT, proc.stderr
     assert "exact solver limit" in proc.stderr
-    # the count matrix alone would take 298 GiB
+    # check scans the 3 support vertices: a count matrix on all 200,000
+    # would take 298 GiB
     path = save(tmp_path, "huge.trifam", family_from_triangles(200_000, [(0, 1, 2)]))
     proc = _run_capped(["check", path])
-    assert proc.returncode == LIMIT and proc.stderr == "error: out of memory\n"
+    assert (proc.returncode, proc.stdout) == (OK, "rainbow-free\n"), proc.stderr
+
+    # running out of memory anyway still exits 3, with a message
+    def no_memory(f):
+        raise MemoryError
+
+    monkeypatch.setattr("rainbowfree.cli.find_rainbow", no_memory)
+    assert run_cli(capsys, ["check", path]) == (LIMIT, "", "error: out of memory\n")
+    monkeypatch.undo()
     # canon needs no count matrix; its maps grow only linearly in n
     proc = _run_capped(["canon", path])
     assert proc.returncode == OK, proc.stderr
@@ -357,6 +366,22 @@ def test_search_witness_files(tmp_path, capsys):
     assert "trifam 1" not in out
     w0 = parse_family((tmp_path / "wit-0").read_text())
     assert w0.n == 6 and w0.size == 4
+
+
+def test_search_unwritable_out_refused_before_the_search(tmp_path, capsys, monkeypatch):
+    def no_search(cfg):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("rainbowfree.cli.run_search", no_search)
+    base = str(tmp_path / "missing" / "dir" / "w")
+    code, out, err = run_cli(capsys, ["search", "--n", "11", "--out", base])
+    assert (code, out) == (USAGE, "")
+    assert err.startswith(f"error: cannot write {base}-0: ")
+    # a refuted proof writes no witness file, and the check leaves none
+    monkeypatch.undo()
+    base = str(tmp_path / "w")
+    code, out, _ = run_cli(capsys, ["search", "--n", "5", "--prove", "4", "--out", base])
+    assert (code, os.listdir(tmp_path)) == (FAIL, [])
 
 
 def test_search_checkpoint_resume(tmp_path, capsys):

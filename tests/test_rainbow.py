@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from rainbowfree.family import MULTISET, SET, family_from_triangles
 from rainbowfree.rainbow import (
@@ -79,6 +80,25 @@ def test_find_rainbow_matches_oracle_random():
         assert (got is not None) == brute_has_rainbow(f)
         if got is not None:
             assert verify_certificate(f, got)
+
+
+def test_find_rainbow_memory_follows_the_support():
+    # the scan runs on the 4 support vertices; an owner matrix on all
+    # 3,000 vertices would take about 70 MB
+    f = family_from_triangles(3000, [(0, 1500, 2999), (0, 1500, 2000), (1500, 2000, 2999)])
+    tracemalloc.start()
+    try:
+        cert = find_rainbow(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert render_certificate(cert) == (
+        "rainbow 0 1500 2000\n"
+        "edge 0 1500 owner 0 copy 0\n"
+        "edge 0 2000 owner 1 copy 0\n"
+        "edge 1500 2000 owner 2 copy 0\n"
+    )
 
 
 def test_rainbow_is_monotone_under_member_addition():
