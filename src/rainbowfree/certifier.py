@@ -11,6 +11,11 @@ n^2/8 it also checks the structural facts that force the family to be
 t_star: no member inside B, the four colored-multigraph properties, and
 the matched-pairs decomposition.
 
+With no member inside B, a member's beta edge is its only B-edge, so the
+projected multigraph comes straight from beta, each edge colored by its
+member's third vertex (in A). P2, P3 and P4 read one per-vertex index of
+its edges; P3 groups the distinct edges at each vertex by color.
+
 A is the lexicographically least maximum independent set, found by an
 exact solver that takes each connected component of the union graph
 apart. Maximum sizes add across components, so the per-component sets
@@ -340,22 +345,6 @@ def check_step1(f: TriangleFamily, p: Bipartition) -> bool:
     return all(not set(t) <= b_set for t, _ in f.members)
 
 
-def build_tb(f: TriangleFamily, p: Bipartition) -> ColoredMultigraph:
-    """Project each member to its single B-edge, colored by its A-vertex."""
-    a_set = set(p.a)
-    b_set = set(p.b)
-    edges: list[tuple[Edge, Vertex]] = []
-    for _, t in f.member_copies():
-        in_a = [v for v in t if v in a_set]
-        in_b = [v for v in t if v in b_set]
-        if len(in_b) != 2 or len(in_a) != 1:
-            raise CertifierError(
-                f"member {t} does not have exactly two vertices in B"
-            )
-        edges.append(((in_b[0], in_b[1]), in_a[0]))
-    return ColoredMultigraph(tuple(p.b), tuple(edges), len(p.b))
-
-
 def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
     """The four structural facts about the projected multigraph.
 
@@ -396,19 +385,15 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
                 if c1 == c3:
                     p2 = False
 
+    # two same-colored edges sharing a vertex both lie in its index
     p3 = True
-    by_color: dict[Vertex, list[Edge]] = {}
-    for e, c in g.edges:
-        by_color.setdefault(c, []).append(e)
-    for c, es in by_color.items():
-        for i in range(len(es)):
-            for j in range(i + 1, len(es)):
-                e1, e2 = es[i], es[j]
-                if e1 == e2:
-                    continue
-                if set(e1) & set(e2):
-                    if count[e1] > 1 or count[e2] > 1:
-                        p3 = False
+    for v in g.vertices:
+        by_color: dict[Vertex, set[Edge]] = {}
+        for e, c in at[v]:
+            by_color.setdefault(c, set()).add(e)
+        for es in by_color.values():
+            if len(es) >= 2 and any(count[e] > 1 for e in es):
+                p3 = False
 
     p4 = all(len(at[v]) == g.m for v in g.vertices)
     return p1, p2, p3, p4
@@ -471,7 +456,11 @@ def certify(f: TriangleFamily) -> CertifierReport:
     tb_props: tuple[bool, bool, bool, bool] | None = None
     matched: bool | None = None
     if step1:
-        tb = build_tb(support, p)
+        # beta took each member's only B-edge; its third vertex (in A) is the color
+        edges = tuple(
+            (e, sum(support.members[i][0]) - sum(e)) for (i, _), e in beta.beta.items()
+        )
+        tb = ColoredMultigraph(p.b, edges, len(p.b))
         tb_props = check_tb_properties(tb)
         matched = check_matched_pairs(tb)
     extremal = 8 * support.size == support.n * support.n

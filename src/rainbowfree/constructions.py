@@ -10,6 +10,8 @@ on 9 vertices.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .family import (
     MAX_MEMBERS,
     MULTISET,
@@ -20,7 +22,7 @@ from .family import (
     VertexLimitError,
     check_vertex_limit,
     family_from_triangles,
-    union_graph,
+    triangle_edges,
 )
 
 
@@ -96,11 +98,12 @@ def is_tstar_family(f: TriangleFamily) -> bool:
     """True when f is isomorphic to t_star(f.n), decided structurally.
 
     In t_star the pair edges are exactly the edges lying in two or more
-    members, so the test checks: all multiplicities 1, size n^2/8, the
-    multiply-covered edges form a perfect matching on half the
-    vertices, and every member is one matching edge plus one vertex
-    from the other half. A simple family of that size passing the
-    member check must realize every (pair, apex) combination.
+    members, so the test counts the members' edges (it builds no union
+    graph) and checks: all multiplicities 1, size n^2/8, the
+    multiply-covered edges form a perfect matching on half the vertices,
+    and every member is one matching edge plus one vertex from the other
+    half. A simple family of that size passing the member check must
+    realize every (pair, apex) combination.
     """
     n = f.n
     if n < 4 or n % 4:
@@ -109,14 +112,11 @@ def is_tstar_family(f: TriangleFamily) -> bool:
         return False
     if any(m != 1 for _, m in f.members):
         return False
-    g = union_graph(f)
-    heavy = {e for e, owners in g.owners.items() if len(owners) >= 2}
+    cover = Counter(e for t, _ in f.members for e in triangle_edges(t))
+    heavy = {e for e, k in cover.items() if k >= 2}
     if len(heavy) != n // 4:
         return False
-    pair_verts: set[int] = set()
-    for u, v in heavy:
-        pair_verts.add(u)
-        pair_verts.add(v)
+    pair_verts = {v for e in heavy for v in e}
     if len(pair_verts) != n // 2:
         return False
     apexes = set(range(n)) - pair_verts

@@ -98,6 +98,21 @@ def brute_end_colors_differ(edges) -> bool:
     return True
 
 
+def brute_same_color_simple(edges) -> bool:
+    """Property P3 of a colored multigraph, by every pair of copies.
+
+    edges lists ((u, v), color) copies.  Tries every pair of copies of
+    distinct edges that have the same color and share a vertex, and fails
+    when either edge has a parallel copy, of any color.
+    """
+    copies = [e for e, _ in edges]
+    for (e1, c1), (e2, c2) in itertools.combinations(edges, 2):
+        if e1 != e2 and c1 == c2 and set(e1) & set(e2):
+            if copies.count(e1) > 1 or copies.count(e2) > 1:
+                return False
+    return True
+
+
 def random_family(
     rng: random.Random, n: int, max_members: int, mode: str = "set"
 ) -> TriangleFamily:

@@ -15,7 +15,6 @@ from rainbowfree.certifier import (
     RainbowFamilyError,
     bipartition,
     build_beta,
-    build_tb,
     build_witness,
     certify,
     check_degree_sums,
@@ -30,7 +29,12 @@ from rainbowfree.constructions import doubled_nine, pair_family, t_star
 from rainbowfree.family import MULTISET, family_from_triangles, union_graph
 from rainbowfree.rainbow import verify_certificate
 
-from oracles import brute_end_colors_differ, brute_max_independent_sets, random_family
+from oracles import (
+    brute_end_colors_differ,
+    brute_max_independent_sets,
+    brute_same_color_simple,
+    random_family,
+)
 
 
 def test_mis_matches_brute_force_on_random_graphs():
@@ -288,7 +292,7 @@ def test_tb_properties_on_constructed_violations():
     _, p2, _, _ = check_tb_properties(g)
     assert p2
     # random colored multigraphs, parallel copies included, against every
-    # 3-edge path
+    # 3-edge path and every pair of same-colored copies
     rng = random.Random(2)
     for _ in range(300):
         k = rng.randint(4, 7)
@@ -297,8 +301,9 @@ def test_tb_properties_on_constructed_violations():
             (rng.choice(pairs), rng.randrange(4)) for _ in range(rng.randint(0, 10))
         )
         g = ColoredMultigraph(vertices=tuple(range(k)), edges=edges, m=2)
-        _, p2, _, _ = check_tb_properties(g)
+        _, p2, p3, _ = check_tb_properties(g)
         assert p2 == brute_end_colors_differ(edges), edges
+        assert p3 == brute_same_color_simple(edges), edges
     # P3: same-colored edges meet at a vertex and one is doubled
     g = ColoredMultigraph(
         vertices=(0, 1, 2),
@@ -345,12 +350,6 @@ def test_step1_checker_directly():
     f = family_from_triangles(4, [(0, 1, 2)])
     assert check_step1(f, Bipartition(a=(3, 0), b=(1, 2), e_b=((1, 2),)))
     assert not check_step1(f, Bipartition(a=(3,), b=(0, 1, 2), e_b=()))
-
-
-def test_build_tb_requires_two_b_vertices():
-    f = family_from_triangles(4, [(0, 1, 2)])
-    with pytest.raises(CertifierError):
-        build_tb(f, Bipartition(a=(3,), b=(0, 1, 2), e_b=()))
 
 
 def test_certify_t_star_sweep_is_fast_and_true():

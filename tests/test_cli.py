@@ -377,9 +377,17 @@ def test_search_unwritable_out_refused_before_the_search(tmp_path, capsys, monke
     code, out, err = run_cli(capsys, ["search", "--n", "11", "--out", base])
     assert (code, out) == (USAGE, "")
     assert err.startswith(f"error: cannot write {base}-0: ")
+    # a directory where the first witness file goes gets the message the
+    # write itself would give
+    base = str(tmp_path / "w")
+    os.mkdir(base + "-0")
+    with pytest.raises(OSError) as late:
+        open(base + "-0", "w")
+    code, out, err = run_cli(capsys, ["search", "--n", "11", "--out", base])
+    assert (code, out, err) == (USAGE, "", f"error: cannot write {base}-0: {late.value}\n")
+    os.rmdir(base + "-0")
     # a refuted proof writes no witness file, and the check leaves none
     monkeypatch.undo()
-    base = str(tmp_path / "w")
     code, out, _ = run_cli(capsys, ["search", "--n", "5", "--prove", "4", "--out", base])
     assert (code, os.listdir(tmp_path)) == (FAIL, [])
 
@@ -620,6 +628,20 @@ def test_config_dashed_keys(tmp_path, capsys):
     cfg.write_text("node-limit = 3\nn = 7\n")
     code, out, _ = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == LIMIT and "completed = false" in out
+
+
+def test_in_process_calls_share_only_the_parser(tmp_path, capsys):
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text("porcelain = true\nn = 5\n")
+    code, out, _ = run_cli(capsys, ["search", "--config", str(cfg)])
+    assert code == OK and out.startswith("best=3\n")
+    # no config, porcelain or n carries over from the call before
+    plain = run_cli(capsys, ["search", "--n", "6"])
+    assert plain[0] == OK and plain[1].startswith("best = 4\n")
+    assert plain[2].startswith("nodes = ")
+    code, _, err = run_cli(capsys, ["search", "--n", "6", "--workers", "2"])
+    assert code == USAGE and "--workers" in err
+    assert run_cli(capsys, ["search", "--n", "6"]) == plain
 
 
 # -- parser level
