@@ -28,10 +28,7 @@ maps an error to exit code 2 or 3.
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import sys
-import tempfile
 
 from .canon import are_isomorphic, canonical_relabeling
 from .certifier import MISLimitError, RainbowFamilyError, certify, render_report
@@ -57,6 +54,7 @@ from .search import (
     SearchLimitError,
     resume_search,
     run_search,
+    write_atomic,
 )
 
 OK = 0
@@ -274,9 +272,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         # first node a PATH-0 that is a directory or whose directory takes no file
         path = args.out + "-0"
         try:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+            write_atomic(path, None)
         except OSError as exc:
             raise _CliError(f"cannot write {path}: {exc}") from exc
     if args.resume is not None:

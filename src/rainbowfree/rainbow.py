@@ -48,6 +48,24 @@ def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[in
     return cnt, [(a * n + b) * n + c for (a, b, c), _ in rows], [m for _, m in rows]
 
 
+def support_state(
+    f: TriangleFamily, extra: tuple[int, ...] = ()
+) -> tuple[list[int], tuple[list[list[int]], list[int], list[int]]]:
+    """The support of f plus the vertices in extra, ascending, and the
+    family_state of f relabeled onto them in that order.
+
+    The relabeling keeps vertex order, so ascending triples stay ascending
+    and the least triple stays least; memory and time grow with the
+    members, not with n.
+    """
+    verts = sorted(set(extra).union(*(t for t, _ in f.members)))
+    if len(verts) == f.n:  # every vertex is used: the labels stay as they are
+        return verts, family_state(f)
+    rank = {v: i for i, v in enumerate(verts)}
+    members = tuple(((rank[a], rank[b], rank[c]), m) for (a, b, c), m in f.members)
+    return verts, family_state(TriangleFamily(len(verts), members, f.mode))
+
+
 def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     """First rainbow triangle, or None if the family has none.
 
@@ -57,16 +75,13 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     Hall's condition; the assignment search below then always succeeds.
 
     A rainbow triple lies inside the support, so the scan runs on the
-    support vertices relabeled in order, which keeps the least triple
-    least: memory and time grow with the support, not with n.
+    support relabeled in order (support_state).
     """
     if not f.members:
         return None
-    sup = f.support_vertices()
-    rank = {v: i for i, v in enumerate(sup)}
-    members = tuple(((rank[a], rank[b], rank[c]), m) for (a, b, c), m in f.members)
+    sup, state = support_state(f)
     s = len(sup)
-    packed = rainbow_triple_scan(*family_state(TriangleFamily(s, members, f.mode)), s)
+    packed = rainbow_triple_scan(*state, s)
     if packed < 0:
         return None
     xy, z = divmod(packed, s)

@@ -48,7 +48,7 @@ from .family import (
     parse_family,
     serialize_family,
 )
-from .rainbow import family_state, find_rainbow
+from .rainbow import find_rainbow, support_state
 
 MAXIMIZE = "maximize"
 PROVE = "prove"
@@ -132,7 +132,9 @@ def extend_ok(
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
     Only vertex triples using an edge of t can become rainbow, so the
-    check is local to t. Pass state = family_state(f) to reuse the
+    check is local to t. Without state, it runs on the support and t's
+    vertices relabeled in order (support_state), so memory grows with the
+    members, not with n. Pass state = family_state(f) to reuse the
     owner-count arrays across many probes of the same family.
     """
     a, b, c = sorted(t)
@@ -140,10 +142,13 @@ def extend_ok(
         raise SearchError(f"triangle {t} does not fit on {f.n} vertices")
     if add_m < 1:
         raise SearchError("add_m must be at least 1")
+    n = f.n
     if state is None:
-        state = family_state(f)
+        verts, state = support_state(f, (a, b, c))
+        n = len(verts)
+        a, b, c = verts.index(a), verts.index(b), verts.index(c)
     cnt, codes, tm = state
-    return rainbow_after_add(cnt, codes, tm, f.n, a, b, c, add_m) == 0
+    return rainbow_after_add(cnt, codes, tm, n, a, b, c, add_m) == 0
 
 
 class _LimitHit(Exception):
@@ -240,7 +245,7 @@ class _Searcher:
     def run(self, replay: _Snapshot = ()) -> None:
         if self.cfg.checkpoint_path:
             # an unwritable path fails now, not after the first interval
-            _write_atomic(self.cfg.checkpoint_path, None)
+            _write_checkpoint_file(self.cfg.checkpoint_path, None)
         try:
             self._process(list(replay), self._list())
         except _LimitHit:
@@ -360,25 +365,36 @@ class _Searcher:
             lines.append("witness")
             family = TriangleFamily(cfg.n, snap, cfg.mode)
             lines.append(serialize_family(family).rstrip("\n"))
-        _write_atomic(path, "\n".join(lines) + "\n")
+        _write_checkpoint_file(path, "\n".join(lines) + "\n")
 
 
-def _write_atomic(path: str, payload: str | None) -> None:
+def write_atomic(path: str, payload: str | None) -> None:
     """Replace path by way of a temporary file beside it; with payload None,
-    only check that path is no directory and that its directory takes a file."""
+    only check that path is no directory and that its directory takes a file.
+
+    The OSError raised names path or gives only the errno and its text,
+    never the temporary file's random name, so it reads the same each run.
+    """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    directory = os.path.dirname(os.path.abspath(path))
     try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload or "")
-            if payload is not None:
-                os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror) from None
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(payload or "")
+        if payload is not None:
+            os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _write_checkpoint_file(path: str, payload: str | None) -> None:
+    try:
+        write_atomic(path, payload)
     except OSError as exc:
         raise SearchError(f"cannot write checkpoint {path}: {exc}") from exc
 

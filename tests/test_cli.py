@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import random
@@ -390,6 +391,19 @@ def test_search_unwritable_out_refused_before_the_search(tmp_path, capsys, monke
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, ["search", "--n", "5", "--prove", "4", "--out", base])
     assert (code, os.listdir(tmp_path)) == (FAIL, [])
+
+
+def test_search_unwritable_path_message_repeats(tmp_path, capsys):
+    # the probe file's random name stays out of the message
+    missing = tmp_path / "missing" / "dir"
+    no_dir = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+    for flag, path, prefix in (
+        ("--out", f"{missing / 'w'}-0", "cannot write"),
+        ("--checkpoint", str(missing / "c.ckpt"), "cannot write checkpoint"),
+    ):
+        argv = ["search", "--n", "9", flag, path.removesuffix("-0")]
+        runs = [run_cli(capsys, argv) for _ in range(2)]
+        assert runs[0] == runs[1] == (USAGE, "", f"error: {prefix} {path}: {no_dir}\n")
 
 
 def test_search_checkpoint_resume(tmp_path, capsys):

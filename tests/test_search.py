@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -394,6 +395,44 @@ def test_extend_ok_matches_brute_random():
             continue
         assert extend_ok(f, t, add_m) == brute_extend_ok(f, t, add_m)
         checked += 1
+
+
+def test_extend_ok_off_the_support_matches_brute():
+    # members on a few scattered vertices of n = 8; each probe has 0 to 3
+    # vertices off the support, and the relabeled check must not care
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(25):
+        verts = sorted(rng.sample(range(8), rng.randint(3, 5)))
+        pool = list(itertools.combinations(verts, 3))
+        picked = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        members = [t + (rng.choice((1, 2)),) for t in picked]
+        f = family_from_triangles(8, members, MULTISET)
+        if has_rainbow(f):
+            continue
+        sup = set(f.support_vertices())
+        state = family_state(f)
+        for t in itertools.combinations(range(8), 3):
+            for m in range(1, 3 - f.multiplicity(t)):
+                want = brute_extend_ok(f, t, m)
+                assert extend_ok(f, t, m) is want, (f, t, m)
+                assert extend_ok(f, t, m, state=state) is want, (f, t, m)
+                seen.add(len(set(t) - sup))
+    assert seen == {0, 1, 2, 3}
+
+
+def test_extend_ok_memory_follows_the_members():
+    # without state, the owner counts cover the support and the probe only;
+    # an owner matrix on all 3,000 vertices takes about 70 MB
+    f = family_from_triangles(3000, [(0, 1, 2), (0, 1, 3)])
+    tracemalloc.start()
+    try:
+        answers = [extend_ok(f, (0, 2, 3)), extend_ok(f, (1500, 2000, 2999))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [False, True]
+    assert peak < 2 * 2**20
 
 
 def _greedy_family(rng, n, mode):
