@@ -58,7 +58,7 @@ def support_state(
     and the least triple stays least; memory and time grow with the
     members, not with n.
     """
-    verts = sorted(set(extra).union(*(t for t, _ in f.members)))
+    verts = sorted({*extra, *f.support_vertices()})
     if len(verts) == f.n:  # every vertex is used: the labels stay as they are
         return verts, family_state(f)
     rank = {v: i for i, v in enumerate(verts)}

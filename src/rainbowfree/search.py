@@ -372,23 +372,24 @@ def write_atomic(path: str, payload: str | None) -> None:
     """Replace path by way of a temporary file beside it; with payload None,
     only check that path is no directory and that its directory takes a file.
 
-    The OSError raised names path or gives only the errno and its text,
-    never the temporary file's random name, so it reads the same each run.
+    An OSError from the temporary file (making, writing or renaming it)
+    is raised again as only its errno and text, without the file's random
+    name, so it reads the same each run; a directory at path is named.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror) from None
-    try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload or "")
         if payload is not None:
             os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror) from None
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
 import tracemalloc
@@ -341,6 +342,22 @@ def test_unwritable_checkpoint_path_fails_before_the_first_node(tmp_path, monkey
             resume_search(str(ck), checkpoint_path=str(path))
     assert calls == []
     assert not list(tmp_path.glob(".ckpt-*"))
+
+
+def test_failed_checkpoint_rename_names_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(1, "Operation not permitted", src, dst)
+
+    monkeypatch.setattr(search_module.os, "replace", refuse)
+    path = str(tmp_path / "run.ckpt")
+    cfg = SearchConfig(n=7, node_limit=5, checkpoint_path=path, checkpoint_interval=2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SearchError) as err:
+            run_search(cfg)
+        messages.append(str(err.value))
+    assert messages == [f"cannot write checkpoint {path}: [Errno 1] Operation not permitted"] * 2
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_validation():
