@@ -13,8 +13,9 @@ Subcommands:
 Family files use the TRIFAM v1 format; pass "-" to read from standard
 input.  Every command accepts --out PATH (write the primary output to a
 file), --porcelain (frozen machine-readable field names), and --config
-PATH (key = value lines mirroring the command's flags; explicit flags
-win).
+PATH (key = value lines whose keys are the command's long options, each
+value converted and checked by its option as on the command line;
+explicit flags win).
 
 The parser is built once, at import, so in-process callers (the tests
 and the benchmark) pay for it once; each main call parses a fresh namespace.
@@ -63,11 +64,6 @@ USAGE = 2
 LIMIT = 3
 
 CONSTRUCT_KINDS = ("tstar", "pairs", "double", "fig5")
-
-_BOOL_DESTS = frozenset({"porcelain", "verify_bound", "enumerate_extremal"})
-_INT_DESTS = frozenset(
-    {"n", "pairs", "apexes", "prove", "node_limit", "checkpoint_interval"}
-)
 
 
 class _CliError(Exception):
@@ -143,8 +139,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Fill the flags not given from the --config file.
+
+    A key is one of the subcommand's long options, with dashes or
+    underscores, and its value is converted and checked by that option:
+    a fixed-value flag takes a boolean, any other its type and choices.
+    """
+    if not args.config:
         return
     for lineno, raw in enumerate(_read(args.config).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -154,25 +156,28 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise _CliError(f"{args.config}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        dest = key.replace("-", "_")
-        if dest in ("config", "func", "file", "kind", "a", "b") or not hasattr(
-            args, dest
+        # argparse has no public lookup of an option by its string
+        action = sub._option_string_actions.get("--" + key.replace("_", "-"))
+        if (
+            action is None
+            or action.dest == "config"  # a config names no other config
+            or not hasattr(args, action.dest)  # --help stores nothing in args
         ):
             raise _CliError(f"{args.config}:{lineno}: unknown key {key!r}")
-        if getattr(args, dest) is not None:  # explicit flags win
+        if getattr(args, action.dest) is not None:  # explicit flags win
             continue
         try:
-            if dest in _BOOL_DESTS:
+            if action.nargs == 0:
                 parsed: object = _parse_bool(value)
-            elif dest in _INT_DESTS:
-                parsed = int(value)
             else:
-                parsed = value
+                parsed = action.type(value) if action.type else value
+                if action.choices is not None and parsed not in action.choices:
+                    raise ValueError(value)
         except ValueError as exc:
             raise _CliError(
                 f"{args.config}:{lineno}: bad value {value!r} for {key}"
             ) from exc
-        setattr(args, dest, parsed)
+        setattr(args, action.dest, parsed)
 
 
 # -- subcommands
@@ -237,11 +242,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return OK if report.verdict else FAIL
 
 
-def _given(**kwargs: object) -> dict:
-    """The keyword arguments whose flags were given, so 0 is not a default."""
-    return {k: v for k, v in kwargs.items() if v is not None}
-
-
 def _search_config(args: argparse.Namespace) -> SearchConfig:
     if args.prove is not None and args.enumerate_extremal:
         raise _CliError("--prove and --enumerate-extremal are mutually exclusive")
@@ -258,11 +258,8 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
         mode=args.mode or SET,
         target=target,
         prove_k=k,
+        node_limit=args.node_limit or 0,
         checkpoint_path=args.checkpoint,
-        **_given(
-            node_limit=args.node_limit,
-            checkpoint_interval=args.checkpoint_interval,
-        ),
     )
 
 
@@ -282,12 +279,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.enumerate_extremal:
             raise _CliError("--resume takes the target from the checkpoint")
         result = resume_search(
-            args.resume,
-            checkpoint_path=args.checkpoint,
-            **_given(
-                node_limit=args.node_limit,
-                checkpoint_interval=args.checkpoint_interval,
-            ),
+            args.resume, node_limit=args.node_limit or 0, checkpoint_path=args.checkpoint
         )
     else:
         result = run_search(_search_config(args))
@@ -383,7 +375,10 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 # -- parser assembly
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The top parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None)
     common.add_argument(
@@ -423,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--node-limit", type=int, metavar="N", default=None)
     p.add_argument("--checkpoint", metavar="PATH", default=None)
-    p.add_argument("--checkpoint-interval", type=int, metavar="N", default=None)
     p.add_argument("--resume", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_search)
 
@@ -440,10 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_canon)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -453,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
-        _apply_config(args)
+        _apply_config(args, _SUBPARSERS[args.command])
         return args.func(args)
     except _LIMIT_ERRORS as exc:
         # exit 1 would claim the property fails; a MemoryError often

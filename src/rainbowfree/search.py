@@ -81,7 +81,6 @@ class SearchConfig:
     prove_k: int = 0
     node_limit: int = 0
     checkpoint_path: str | None = None
-    checkpoint_interval: int = _CKPT_INTERVAL
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -96,8 +95,6 @@ class SearchConfig:
             raise SearchError("prove target needs k >= 0")
         if self.node_limit < 0:
             raise SearchError("node limit must be nonnegative (0 = none)")
-        if self.checkpoint_interval < 1:
-            raise SearchError("checkpoint interval must be positive")
 
     @property
     def max_multiplicity(self) -> int:
@@ -123,32 +120,22 @@ class SearchResult:
     found: bool | None = None
 
 
-def extend_ok(
-    f: TriangleFamily,
-    t: Triangle,
-    add_m: int = 1,
-    state: tuple[list[list[int]], list[int], list[int]] | None = None,
-) -> bool:
+def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
     Only vertex triples using an edge of t can become rainbow, so the
-    check is local to t. Without state, it runs on the support and t's
-    vertices relabeled in order (support_state), so memory grows with the
-    members, not with n. Pass state = family_state(f) to reuse the
-    owner-count arrays across many probes of the same family.
+    check is local to t. It runs on the support and t's vertices
+    relabeled in order (support_state), so memory grows with the
+    members, not with n.
     """
     a, b, c = sorted(t)
     if not (0 <= a < b < c < f.n):
         raise SearchError(f"triangle {t} does not fit on {f.n} vertices")
     if add_m < 1:
         raise SearchError("add_m must be at least 1")
-    n = f.n
-    if state is None:
-        verts, state = support_state(f, (a, b, c))
-        n = len(verts)
-        a, b, c = verts.index(a), verts.index(b), verts.index(c)
-    cnt, codes, tm = state
-    return rainbow_after_add(cnt, codes, tm, n, a, b, c, add_m) == 0
+    verts, (cnt, codes, tm) = support_state(f, (a, b, c))
+    a, b, c = verts.index(a), verts.index(b), verts.index(c)
+    return rainbow_after_add(cnt, codes, tm, len(verts), a, b, c, add_m) == 0
 
 
 class _LimitHit(Exception):
@@ -223,7 +210,7 @@ class _Searcher:
         if (
             self.cfg.checkpoint_path
             and self.nodes
-            and self.nodes % self.cfg.checkpoint_interval == 0
+            and self.nodes % _CKPT_INTERVAL == 0
         ):
             self._write_checkpoint(done=False)
         self.nodes += 1
@@ -314,7 +301,7 @@ class _Searcher:
                 if replaying:
                     if (idx, m) < forced:
                         continue
-                    if (idx, m) != forced or m > mm:
+                    if (idx, m) != forced:
                         raise SearchError(
                             "checkpoint prefix is not a valid extension path"
                         )
@@ -410,7 +397,8 @@ def _ckpt_int(path: str, text: str) -> int:
 def load_checkpoint(path: str) -> dict:
     """Parse a checkpoint file into a plain dict (no engine state).
 
-    The header must agree with the stored witnesses: without a found
+    The header must be a valid search configuration and agree with the
+    stored witnesses: each is on its n and mode, and without a found
     proof, best is the size of the largest witness.
     """
     try:
@@ -435,6 +423,8 @@ def load_checkpoint(path: str) -> dict:
         text = parts[1]
         state[key] = text if key in ("mode", "target") else _ckpt_int(path, text)
         pos += 1
+    # the n cap (exit 3) comes before any disagreement with the witnesses
+    SearchConfig(state["n"], state["mode"], state["target"], state["prove_k"])
     parts = lines[pos].split() if pos < len(lines) else []
     if len(parts) != 2 or parts[0] != "prefix":
         raise SearchError(f"{path}: expected 'prefix <count>'")
@@ -462,7 +452,13 @@ def load_checkpoint(path: str) -> dict:
         while pos < len(lines) and lines[pos].strip() != "witness":
             block.append(lines[pos])
             pos += 1
-        witnesses.append(parse_family("\n".join(block)))
+        w = parse_family("\n".join(block))
+        # the witnesses are rebuilt on the header's n and mode when resumed
+        if (w.n, w.mode) != (state["n"], state["mode"]):
+            raise SearchError(
+                f"{path}: witness on n {w.n}, mode {w.mode} disagrees with the header"
+            )
+        witnesses.append(w)
     if len(witnesses) != count:
         raise SearchError(
             f"{path}: witness count mismatch ({len(witnesses)} != {count})"
@@ -534,11 +530,10 @@ def resume_search(
     path: str,
     node_limit: int = 0,
     checkpoint_path: str | None = None,
-    checkpoint_interval: int = _CKPT_INTERVAL,
 ) -> SearchResult:
     """Continue a search from a checkpoint file.
 
-    The search configuration comes from the checkpoint.  A nonzero node
+    The search configuration comes from the checkpoint.  A positive node
     limit is a fresh budget for this run (0 = no limit); the stored run
     already consumed its own, so the cap is applied on top of the node
     count recorded in the checkpoint.
@@ -549,9 +544,9 @@ def resume_search(
         mode=state["mode"],
         target=state["target"],
         prove_k=state["prove_k"],
-        node_limit=state["nodes"] + node_limit if node_limit else 0,
+        # a negative limit goes on to SearchConfig, which refuses it
+        node_limit=state["nodes"] + node_limit if node_limit > 0 else node_limit,
         checkpoint_path=checkpoint_path,
-        checkpoint_interval=checkpoint_interval,
     )
     snaps = [f.members for f in state["witnesses"]]
     if state["done"]:
@@ -566,9 +561,6 @@ def resume_search(
         replay = tuple((pool_rank[t], m) for t, m in state["prefix"])
     except KeyError as exc:
         raise SearchError(f"{path}: prefix triangle {exc} not in the pool") from exc
-    for step in range(1, len(replay)):
-        if replay[step - 1][0] >= replay[step][0]:
-            raise SearchError(f"{path}: prefix members out of order")
     # rebuild geometry along the prefix without counting those nodes
     s.run(replay)
     return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)

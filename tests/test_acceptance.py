@@ -32,7 +32,7 @@ from rainbowfree.family import (
     serialize_family,
     union_graph,
 )
-from rainbowfree.rainbow import family_state, find_rainbow, shared_edge_count
+from rainbowfree.rainbow import find_rainbow, shared_edge_count
 from rainbowfree.rs import check_t2_constraints, decompose, unique_triangle_property
 from rainbowfree.search import enumerate_extremal, extend_ok, max_family, prove_size
 
@@ -308,10 +308,9 @@ def test_criterion_8_kernels_agree_with_oracles():
                 )
                 if brute:
                     continue
-                state = family_state(f)
                 for t in pool:
                     probes += 1
-                    lhs = extend_ok(f, t, state=state)
+                    lhs = extend_ok(f, t)
                     rhs = brute_extend_ok(f, t)
                     c.expect(
                         lhs == rhs,

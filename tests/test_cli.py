@@ -406,28 +406,26 @@ def test_search_unwritable_path_message_repeats(tmp_path, capsys):
         assert runs[0] == runs[1] == (USAGE, "", f"error: {prefix} {path}: {no_dir}\n")
 
 
-def test_search_checkpoint_resume(tmp_path, capsys):
+def test_search_checkpoint_resume(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rainbowfree.search._CKPT_INTERVAL", 2)
     ck = str(tmp_path / "run.ckpt")
-    argv = [
-        "search", "--n", "7", "--node-limit", "5",
-        "--checkpoint", ck, "--checkpoint-interval", "2",
-    ]
+    argv = ["search", "--n", "7", "--node-limit", "5", "--checkpoint", ck]
     code, out, _ = run_cli(capsys, argv)
     assert code == LIMIT and "completed = false" in out
     code, out, _ = run_cli(capsys, ["search", "--resume", ck])
     assert code == OK and out.startswith("best = 6\n")
 
 
-def test_search_resume_rejects_overrides(tmp_path, capsys):
+def test_search_resume_rejects_overrides(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rainbowfree.search._CKPT_INTERVAL", 2)
     ck = str(tmp_path / "run.ckpt")
-    run_cli(capsys, [
-        "search", "--n", "6", "--node-limit", "3",
-        "--checkpoint", ck, "--checkpoint-interval", "2",
-    ])
+    run_cli(capsys, ["search", "--n", "6", "--node-limit", "3", "--checkpoint", ck])
     code, _, err = run_cli(capsys, ["search", "--resume", ck, "--n", "6"])
     assert code == USAGE and "--resume takes --n from the checkpoint" in err
     code, _, err = run_cli(capsys, ["search", "--resume", ck, "--enumerate-extremal"])
     assert code == USAGE and "target" in err
+    code, _, err = run_cli(capsys, ["search", "--resume", ck, "--node-limit", "-1"])
+    assert code == USAGE and "node limit must be nonnegative" in err
     code, _, err = run_cli(capsys, ["search", "--resume", str(tmp_path / "no.ckpt")])
     assert code == USAGE
     # the checkpoint's n is held to the search cap like --n
@@ -438,12 +436,10 @@ def test_search_resume_rejects_overrides(tmp_path, capsys):
     assert err == f"error: search needs n <= {MAX_SEARCH_N}, got n = 65\n"
 
 
-def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys):
+def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("rainbowfree.search._CKPT_INTERVAL", 2)
     ck = tmp_path / "run.ckpt"
-    run_cli(capsys, [
-        "search", "--n", "6", "--node-limit", "3",
-        "--checkpoint", str(ck), "--checkpoint-interval", "2",
-    ])
+    run_cli(capsys, ["search", "--n", "6", "--node-limit", "3", "--checkpoint", str(ck)])
     ck.write_text(ck.read_text().replace("\nnodes ", "\nnodes x", 1))
     code, out, err = run_cli(capsys, ["search", "--resume", str(ck)])
     assert code == USAGE and out == ""
@@ -466,10 +462,11 @@ def test_search_flag_validation(tmp_path, capsys):
     cfg.write_text("workers = 2\n")
     code, _, err = run_cli(capsys, ["search", "--n", "6", "--config", str(cfg)])
     assert code == USAGE and "unknown key 'workers'" in err
+    # checkpoints come every _CKPT_INTERVAL nodes; a node limit ends a leg
     code, _, err = run_cli(
-        capsys, ["search", "--n", "6", "--checkpoint-interval", "0"]
+        capsys, ["search", "--n", "6", "--checkpoint-interval", "5"]
     )
-    assert code == USAGE and "checkpoint interval must be positive" in err
+    assert code == USAGE and "unrecognized arguments: --checkpoint-interval" in err
 
 
 def test_search_n_cap_exits_limit():
@@ -635,6 +632,16 @@ def test_config_errors(tmp_path, capsys):
     cfg.write_bytes(b"n = \xff\n")
     code, _, err = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == USAGE and "cannot read" in err
+    # keys are the subcommand's own long options, checked by the parser
+    cfg.write_text("command = certify\n")
+    code, out, err = run_cli(capsys, ["search", "--n", "6", "--config", str(cfg)])
+    assert (code, out) == (USAGE, "") and "unknown key 'command'" in err
+    cfg.write_text("file = x\n")
+    code, _, err = run_cli(capsys, ["check", "x", "--config", str(cfg)])
+    assert code == USAGE and "unknown key 'file'" in err
+    cfg.write_text("n = 6\nmode = bogus\n")
+    code, _, err = run_cli(capsys, ["search", "--config", str(cfg)])
+    assert code == USAGE and f"{cfg}:2: bad value 'bogus' for mode" in err
 
 
 def test_config_dashed_keys(tmp_path, capsys):

@@ -243,14 +243,16 @@ CLI_COMMANDS = {
     "certify": (1, ()),
     "search": (0, (
         "--n", "--mode", "--prove", "--enumerate-extremal", "--node-limit",
-        "--checkpoint", "--checkpoint-interval", "--resume",
+        "--checkpoint", "--resume",
     )),
     "rs": (1, ()),
     "iso": (2, ()),
     "canon": (1, ()),
     "bogus": (0, ()),
 }
-CLI_COMMON_FLAGS = ("--out", "--porcelain", "--config", "--workers", "--help")
+CLI_COMMON_FLAGS = (
+    "--out", "--porcelain", "--config", "--workers", "--checkpoint-interval", "--help",
+)
 # @name tokens stand for paths made by the cli_files fixture; outputs go
 # only where no input lives.  search --n values stay at most 8, apart from
 # the ones its vertex cap refuses

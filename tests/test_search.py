@@ -181,16 +181,15 @@ def test_node_limit_stops_early():
     assert not r.completed and r.found is None and r.nodes_explored == 3
 
 
-def test_checkpoint_resume_matches_uninterrupted(tmp_path):
+def test_checkpoint_resume_matches_uninterrupted(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_module, "_CKPT_INTERVAL", 5)
     ck = str(tmp_path / "run.ckpt")
     base = max_family(7)
-    r = run_search(
-        SearchConfig(n=7, node_limit=8, checkpoint_path=ck, checkpoint_interval=5)
-    )
+    r = run_search(SearchConfig(n=7, node_limit=8, checkpoint_path=ck))
     assert not r.completed
     state = load_checkpoint(ck)
     assert not state["done"] and state["n"] == 7 and state["prefix"]
-    r = resume_search(ck, checkpoint_path=ck, checkpoint_interval=5)
+    r = resume_search(ck, checkpoint_path=ck)
     assert r.completed
     assert _result_key(r) == _result_key(base)
     assert r.nodes_explored == base.nodes_explored
@@ -201,17 +200,14 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     assert _result_key(again) == _result_key(base)
 
 
-def test_checkpoint_hop_budgets(tmp_path):
+def test_checkpoint_hop_budgets(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_module, "_CKPT_INTERVAL", 2)
     ck = str(tmp_path / "hops.ckpt")
     base = max_family(6, mode=MULTISET)
-    r = run_search(
-        SearchConfig(
-            n=6, mode=MULTISET, node_limit=3, checkpoint_path=ck, checkpoint_interval=2
-        )
-    )
+    r = run_search(SearchConfig(n=6, mode=MULTISET, node_limit=3, checkpoint_path=ck))
     hops = 1
     while not r.completed:
-        r = resume_search(ck, node_limit=3, checkpoint_path=ck, checkpoint_interval=2)
+        r = resume_search(ck, node_limit=3, checkpoint_path=ck)
         hops += 1
         assert hops < 50
     assert hops > 2
@@ -240,17 +236,11 @@ def test_checkpoint_one_node_hops(tmp_path, target, k):
     assert (r.found, r.extremal_class_count) == (base.found, base.extremal_class_count)
 
 
-def test_prove_checkpoint_resume(tmp_path):
+def test_prove_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_module, "_CKPT_INTERVAL", 2)
     ck = str(tmp_path / "prove.ckpt")
     r = run_search(
-        SearchConfig(
-            n=8,
-            target="prove",
-            prove_k=8,
-            node_limit=4,
-            checkpoint_path=ck,
-            checkpoint_interval=2,
-        )
+        SearchConfig(n=8, target="prove", prove_k=8, node_limit=4, checkpoint_path=ck)
     )
     assert not r.completed and r.found is None
     resumed = resume_search(ck)
@@ -259,11 +249,10 @@ def test_prove_checkpoint_resume(tmp_path):
     assert resumed.witnesses[0].members == direct.witnesses[0].members
 
 
-def test_corrupt_checkpoints_are_rejected(tmp_path):
+def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_module, "_CKPT_INTERVAL", 3)
     good = tmp_path / "good.ckpt"
-    run_search(
-        SearchConfig(n=6, node_limit=5, checkpoint_path=str(good), checkpoint_interval=3)
-    )
+    run_search(SearchConfig(n=6, node_limit=5, checkpoint_path=str(good)))
     text = good.read_text()
 
     bad = tmp_path / "bad.ckpt"
@@ -303,6 +292,9 @@ def test_corrupt_checkpoints_are_rejected(tmp_path):
         re.sub(r"(?m)^done .*$", "done 2", text),
         re.sub(r"(?m)^found .*$", "found 2", text),
         re.sub(r"(?m)^found .*$", "found 1", text),
+        # the witnesses would be rebuilt on the header's n or mode
+        text.replace("\nn 6\n", "\nn 7\n", 1),
+        text.replace("\nmode set\n", "\nmode multiset\n", 1),
     ):
         bad.write_text(edited)
         with pytest.raises(SearchError):
@@ -350,7 +342,8 @@ def test_failed_checkpoint_rename_names_no_temporary_file(tmp_path, monkeypatch)
 
     monkeypatch.setattr(search_module.os, "replace", refuse)
     path = str(tmp_path / "run.ckpt")
-    cfg = SearchConfig(n=7, node_limit=5, checkpoint_path=path, checkpoint_interval=2)
+    monkeypatch.setattr(search_module, "_CKPT_INTERVAL", 2)
+    cfg = SearchConfig(n=7, node_limit=5, checkpoint_path=path)
     messages = []
     for _ in range(2):
         with pytest.raises(SearchError) as err:
@@ -369,8 +362,6 @@ def test_config_validation():
         SearchConfig(n=5, target="count")
     with pytest.raises(SearchError):
         SearchConfig(n=5, node_limit=-1)
-    with pytest.raises(SearchError):
-        SearchConfig(n=5, checkpoint_interval=0)
 
 
 def test_extend_ok_validation():
@@ -389,11 +380,10 @@ def test_extend_ok_matches_brute_exhaustive_n5():
             f = family_from_triangles(5, list(sub), SET)
             if has_rainbow(f):
                 continue
-            state = family_state(f)
             for t in pool:
                 if t in sub:
                     continue
-                got = extend_ok(f, t, state=state)
+                got = extend_ok(f, t)
                 assert got == brute_extend_ok(f, t)
 
 
@@ -428,18 +418,16 @@ def test_extend_ok_off_the_support_matches_brute():
         if has_rainbow(f):
             continue
         sup = set(f.support_vertices())
-        state = family_state(f)
         for t in itertools.combinations(range(8), 3):
             for m in range(1, 3 - f.multiplicity(t)):
                 want = brute_extend_ok(f, t, m)
                 assert extend_ok(f, t, m) is want, (f, t, m)
-                assert extend_ok(f, t, m, state=state) is want, (f, t, m)
                 seen.add(len(set(t) - sup))
     assert seen == {0, 1, 2, 3}
 
 
 def test_extend_ok_memory_follows_the_members():
-    # without state, the owner counts cover the support and the probe only;
+    # the owner counts cover the support and the probe only;
     # an owner matrix on all 3,000 vertices takes about 70 MB
     f = family_from_triangles(3000, [(0, 1, 2), (0, 1, 3)])
     tracemalloc.start()
@@ -474,7 +462,7 @@ def test_list_extensions_matches_brute_force():
         pool, pool_a, pool_b, pool_c = build_pool(n)
         ok = {(t, m): brute_extend_ok(f, t, m) for t in pool for m in (1, 2)}
         for (t, m), want in ok.items():
-            assert extend_ok(f, t, m, state=state) is want, (f, t, m)
+            assert extend_ok(f, t, m) is want, (f, t, m)
         for max_mult in (1, 2):
             # the largest m <= max_mult whose copies keep f rainbow-free
             want = []
