@@ -62,6 +62,7 @@ TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
+_CKPT_KEYS = ("n", "mode", "target", "prove_k", "done", "found", "nodes", "best")
 _CKPT_INTERVAL = 100_000
 
 
@@ -234,7 +235,7 @@ class _Searcher:
             # an unwritable path fails now, not after the first interval
             _write_checkpoint_file(self.cfg.checkpoint_path, None)
         try:
-            self._process(list(replay), self._list())
+            self._process(replay, self._list())
         except _LimitHit:
             self.completed = False
         except _ProofFound:
@@ -262,7 +263,7 @@ class _Searcher:
             self._buf(len(self.stack)),
         )
 
-    def _process(self, replay: list[tuple[int, int]], capacity: int) -> None:
+    def _process(self, replay: _Snapshot, capacity: int) -> None:
         """Count and record the node on the stack, then try its children.
 
         A child is dropped, before its labeling DFS, once its size plus
@@ -299,9 +300,9 @@ class _Searcher:
                 if m > mm:
                     break
                 if replaying:
-                    if (idx, m) < forced:
+                    if (self.pool[idx], m) < forced:
                         continue
-                    if (idx, m) != forced:
+                    if (self.pool[idx], m) != forced:
                         raise SearchError(
                             "checkpoint prefix is not a valid extension path"
                         )
@@ -318,7 +319,7 @@ class _Searcher:
                 if self.size + cap >= self._needed() and is_min_labeled(
                     self._rows(), self.cfg.n
                 ):
-                    self._process([], cap)
+                    self._process((), cap)
                 self._pop()
         if replaying:
             raise SearchError("checkpoint prefix is not a valid extension path")
@@ -329,24 +330,13 @@ class _Searcher:
         path = self.cfg.checkpoint_path
         assert path is not None
         cfg = self.cfg
-        lines = [
-            _CKPT_MAGIC,
-            f"n {cfg.n}",
-            f"mode {cfg.mode}",
-            f"target {cfg.target}",
-            f"prove_k {cfg.prove_k}",
-            f"done {int(done)}",
-            f"found {int(self.found_witness is not None)}",
-            f"nodes {self.nodes}",
-            f"best {self.best}",
-            f"prefix {len(self.stack)}",
-        ]
-        for idx, m in self.stack:
-            a, b, c = self.pool[idx]
-            lines.append(f"{a} {b} {c} {m}")
-        blocks: list[_Snapshot] = list(self.witnesses)
-        if self.found_witness is not None:
-            blocks = [self.found_witness]
+        found = self.found_witness
+        header = (cfg.n, cfg.mode, cfg.target, cfg.prove_k)
+        header += (int(done), int(found is not None), self.nodes, self.best)
+        lines = [_CKPT_MAGIC, *(f"{k} {v}" for k, v in zip(_CKPT_KEYS, header))]
+        lines.append(f"prefix {len(self.stack)}")
+        lines += [f"{a} {b} {c} {m}" for a, b, c, m in self._rows()]
+        blocks = self.witnesses if found is None else [found]
         lines.append(f"witnesses {len(blocks)}")
         for snap in blocks:
             lines.append("witness")
@@ -387,15 +377,13 @@ def _write_checkpoint_file(path: str, payload: str | None) -> None:
         raise SearchError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _ckpt_int(path: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SearchError(f"{path}: expected an integer, got {text!r}") from None
-
-
 def load_checkpoint(path: str) -> dict:
     """Parse a checkpoint file into a plain dict (no engine state).
+
+    A checkpoint is ASCII text: the magic line "ckpt 1"; one "key value"
+    line for each of _CKPT_KEYS, in that order; "prefix K" and K lines
+    "a b c m", the members on the stack of an unfinished run; then
+    "witnesses W" and W TRIFAM blocks, each after a "witness" line.
 
     The header must be a valid search configuration and agree with the
     stored witnesses: each is on its n and mode, and without a found
@@ -403,66 +391,59 @@ def load_checkpoint(path: str) -> dict:
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise SearchError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SearchError(f"{path}: not an ASCII checkpoint ({exc.reason})") from None
-    lines = raw.splitlines()
     if not lines or lines[0].strip() != _CKPT_MAGIC:
         raise SearchError(f"{path}: not a version-1 checkpoint")
-    state: dict = {}
-    pos = 1
-    keys = ("n", "mode", "target", "prove_k", "done", "found", "nodes", "best")
-    for key in keys:
-        if pos >= len(lines):
-            raise SearchError(f"{path}: truncated checkpoint header")
-        parts = lines[pos].split()
-        if len(parts) != 2 or parts[0] != key:
-            raise SearchError(f"{path}: expected '{key} <value>' on line {pos + 1}")
-        text = parts[1]
-        state[key] = text if key in ("mode", "target") else _ckpt_int(path, text)
+    pos = 1  # lines read so far, so the last one read is line pos
+
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise SearchError(f"{path}: line {pos}: expected an integer, got {text!r}") from None
+
+    def field(key: str):
+        """The value on the next line, which must read "key value"."""
+        nonlocal pos
+        parts = lines[pos].split() if pos < len(lines) else []
         pos += 1
+        if len(parts) != 2 or parts[0] != key:
+            raise SearchError(f"{path}: expected '{key} <value>' on line {pos}")
+        return parts[1] if key in ("mode", "target") else integer(parts[1])
+
+    state: dict = {key: field(key) for key in _CKPT_KEYS}
     # the n cap (exit 3) comes before any disagreement with the witnesses
     SearchConfig(state["n"], state["mode"], state["target"], state["prove_k"])
-    parts = lines[pos].split() if pos < len(lines) else []
-    if len(parts) != 2 or parts[0] != "prefix":
-        raise SearchError(f"{path}: expected 'prefix <count>'")
-    prefix_len = _ckpt_int(path, parts[1])
-    pos += 1
-    prefix: list[tuple[Triangle, int]] = []
-    for _ in range(prefix_len):
-        if pos >= len(lines):
-            raise SearchError(f"{path}: truncated prefix")
-        nums = lines[pos].split()
+    prefix = []
+    for _ in range(field("prefix")):
+        nums = lines[pos].split() if pos < len(lines) else []
+        pos += 1
         if len(nums) != 4:
-            raise SearchError(f"{path}: bad prefix line {lines[pos]!r}")
-        a, b, c, m = (_ckpt_int(path, x) for x in nums)
+            raise SearchError(f"{path}: expected 'a b c m' on line {pos}")
+        a, b, c, m = (integer(x) for x in nums)
         prefix.append(((a, b, c), m))
-        pos += 1
-    parts = lines[pos].split() if pos < len(lines) else []
-    if len(parts) != 2 or parts[0] != "witnesses":
-        raise SearchError(f"{path}: expected 'witnesses <count>'")
-    count = _ckpt_int(path, parts[1])
-    pos += 1
-    witnesses: list[TriangleFamily] = []
-    while pos < len(lines) and lines[pos].strip() == "witness":
-        pos += 1
-        block: list[str] = []
-        while pos < len(lines) and lines[pos].strip() != "witness":
-            block.append(lines[pos])
-            pos += 1
-        w = parse_family("\n".join(block))
-        # the witnesses are rebuilt on the header's n and mode when resumed
+    count = field("witnesses")
+    blocks: list[list[str]] = []
+    for line in lines[pos:]:
+        if line.strip() == "witness":
+            blocks.append([])
+        elif not blocks:
+            raise SearchError(f"{path}: expected 'witness' on line {pos + 1}")
+        else:
+            blocks[-1].append(line)
+    if len(blocks) != count:
+        raise SearchError(f"{path}: witness count mismatch ({len(blocks)} != {count})")
+    witnesses = [parse_family("\n".join(block)) for block in blocks]
+    # the witnesses are rebuilt on the header's n and mode when resumed
+    for w in witnesses:
         if (w.n, w.mode) != (state["n"], state["mode"]):
             raise SearchError(
                 f"{path}: witness on n {w.n}, mode {w.mode} disagrees with the header"
             )
-        witnesses.append(w)
-    if len(witnesses) != count:
-        raise SearchError(
-            f"{path}: witness count mismatch ({len(witnesses)} != {count})"
-        )
     if {state["done"], state["found"]} - {0, 1} or state["nodes"] < 0:
         raise SearchError(f"{path}: done and found must be 0 or 1, nodes >= 0")
     sizes = [w.size for w in witnesses]
@@ -481,22 +462,17 @@ def load_checkpoint(path: str) -> dict:
     return state
 
 
-def _finish(
-    cfg: SearchConfig,
-    snaps: list[_Snapshot],
-    nodes: int,
-    completed: bool,
-    found_snap: _Snapshot | None,
-) -> SearchResult:
-    families = [TriangleFamily(cfg.n, snap, cfg.mode) for snap in snaps]
+def _finish(s: _Searcher) -> SearchResult:
+    cfg = s.cfg
+    families = [TriangleFamily(cfg.n, snap, cfg.mode) for snap in s.witnesses]
     best = max((f.size for f in families), default=0)
     found: bool | None = None
     if cfg.target == PROVE:
         witnesses: tuple[TriangleFamily, ...] = ()
-        if found_snap is not None:
-            witnesses = (TriangleFamily(cfg.n, found_snap, cfg.mode),)
+        if s.found_witness is not None:
+            witnesses = (TriangleFamily(cfg.n, s.found_witness, cfg.mode),)
             best = witnesses[0].size
-        if completed or witnesses:
+        if s.completed or witnesses:
             found = bool(witnesses)
     else:
         witnesses = tuple(
@@ -507,8 +483,8 @@ def _finish(
         best_size=best,
         witnesses=witnesses,
         extremal_class_count=len(witnesses) if cfg.target == ENUMERATE else None,
-        nodes_explored=nodes,
-        completed=completed,
+        nodes_explored=s.nodes,
+        completed=s.completed,
         found=found,
     )
     for w in result.witnesses:
@@ -523,7 +499,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     """Run a search to completion (or its node limit) and package results."""
     s = _Searcher(cfg)
     s.run()
-    return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
+    return _finish(s)
 
 
 def resume_search(
@@ -536,34 +512,31 @@ def resume_search(
     The search configuration comes from the checkpoint.  A positive node
     limit is a fresh budget for this run (0 = no limit); the stored run
     already consumed its own, so the cap is applied on top of the node
-    count recorded in the checkpoint.
+    count recorded in the checkpoint.  A finished checkpoint is not run
+    again: its result is returned, and written again at checkpoint_path.
     """
     state = load_checkpoint(path)
-    cfg = SearchConfig(
-        n=state["n"],
-        mode=state["mode"],
-        target=state["target"],
-        prove_k=state["prove_k"],
-        # a negative limit goes on to SearchConfig, which refuses it
-        node_limit=state["nodes"] + node_limit if node_limit > 0 else node_limit,
-        checkpoint_path=checkpoint_path,
+    s = _Searcher(
+        SearchConfig(
+            n=state["n"],
+            mode=state["mode"],
+            target=state["target"],
+            prove_k=state["prove_k"],
+            # a negative limit goes on to SearchConfig, which refuses it
+            node_limit=state["nodes"] + node_limit if node_limit > 0 else node_limit,
+            checkpoint_path=checkpoint_path,
+        )
     )
-    snaps = [f.members for f in state["witnesses"]]
-    if state["done"]:
-        found = snaps[0] if state["found"] else None
-        return _finish(cfg, snaps, state["nodes"], True, found)
-    s = _Searcher(cfg)
-    s.nodes = state["nodes"]
-    s.best = state["best"]
-    s.witnesses = snaps
-    pool_rank = {t: i for i, t in enumerate(s.pool)}
-    try:
-        replay = tuple((pool_rank[t], m) for t, m in state["prefix"])
-    except KeyError as exc:
-        raise SearchError(f"{path}: prefix triangle {exc} not in the pool") from exc
-    # rebuild geometry along the prefix without counting those nodes
-    s.run(replay)
-    return _finish(cfg, s.witnesses, s.nodes, s.completed, s.found_witness)
+    s.nodes, s.best = state["nodes"], state["best"]
+    s.witnesses = [f.members for f in state["witnesses"]]
+    if state["found"]:
+        s.found_witness = s.witnesses[0]
+    if not state["done"]:
+        # rebuild geometry along the prefix without counting those nodes
+        s.run(state["prefix"])
+    elif checkpoint_path:
+        s._write_checkpoint(done=True)
+    return _finish(s)
 
 
 # -- convenience wrappers

@@ -130,6 +130,10 @@ def test_parse_accepts_bytes():
         # a digit int() cannot read: a ValueError traceback before the fix
         "trifam 1\nmode multiset\nn 4\n0 1 2 x\u00b2\n",
         "trifam 1\nmode set\nn 4\n0 a 2\n",
+        # numbers int() reads that are not ASCII decimal digits
+        "trifam 1\nmode set\nn 1_0\n0 1 2\n",
+        "trifam 1\nmode set\nn 4\n0 1 +2\n",
+        "trifam 1\nmode multiset\nn \u0661\u0660\n0 1 2 x\u0662\n",
         "trifam 1\nmode set\nn 3\n0 1 3\n",
     ],
 )

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +167,25 @@ def test_multiset_census():
     assert are_isomorphic(r.witnesses[0], doubled_nine())
 
 
+@pytest.mark.parametrize(
+    "name,best,nodes,pairs",
+    [
+        ("census_set13.ckpt", 21, 6699, [3]),
+        ("census_set14.ckpt", 24, 40996, [3, 4]),
+        ("census_multiset13.ckpt", 21, 49853, [3]),
+    ],
+)
+def test_late_census_checkpoints(name, best, nodes, pairs):
+    # the README census rows past n = 12 take minutes, so each file is its
+    # run stopped by --node-limit about 100 nodes before the end
+    r = resume_search(str(Path(__file__).parent / "data" / name))
+    assert r.completed and r.best_size == best and r.nodes_explored == nodes
+    assert r.extremal_class_count == len(pairs)
+    n = r.witnesses[0].n
+    classes = {canonical_form(pair_family(n, p, n - 2 * p)) for p in pairs}
+    assert {canonical_form(w) for w in r.witnesses} == classes
+
+
 def test_repeat_runs_are_identical():
     a = enumerate_extremal(6)
     b = enumerate_extremal(6)
@@ -300,6 +320,17 @@ def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
         with pytest.raises(SearchError):
             resume_search(str(bad))
 
+    # prefix lines the replay cannot reach: a triangle outside the pool,
+    # three copies of a member, and two copies in set mode
+    for n, mode, line in ((8, SET, "0 1 99 1"), (6, MULTISET, "0 1 2 3"), (8, SET, "0 1 2 2")):
+        leg = tmp_path / f"{mode}{n}.ckpt"
+        run_search(SearchConfig(n=n, mode=mode, node_limit=5, checkpoint_path=str(leg)))
+        edited = leg.read_text().replace("\n0 1 2 1\n", f"\n{line}\n", 1)
+        assert f"\n{line}\n" in edited
+        bad.write_text(edited)
+        with pytest.raises(SearchError, match="not a valid extension path"):
+            resume_search(str(bad))
+
     # unreadable paths are search errors, not OSErrors
     for path in (tmp_path / "missing.ckpt", tmp_path):
         with pytest.raises(SearchError, match="cannot read"):
@@ -314,6 +345,20 @@ def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
     assert state["found"] and state["best"] == 7
     assert [w.size for w in state["witnesses"]] == [8]
     assert resume_search(str(found)).found is True
+
+
+@pytest.mark.parametrize("target,k", [("enumerate", 0), ("prove", 8)])
+def test_done_checkpoint_is_written_again(tmp_path, target, k):
+    # a finished run, a census and a found proof, resumes to the same
+    # result and writes the same checkpoint at the new path
+    ck, again = tmp_path / "done.ckpt", tmp_path / "again.ckpt"
+    base = run_search(SearchConfig(n=8, target=target, prove_k=k, checkpoint_path=str(ck)))
+    r = resume_search(str(ck), checkpoint_path=str(again))
+    assert again.read_bytes() == ck.read_bytes()
+    assert _result_key(r) == _result_key(base)
+    assert (r.found, r.nodes_explored, r.completed) == (base.found, base.nodes_explored, True)
+    with pytest.raises(SearchError, match="cannot write checkpoint"):
+        resume_search(str(ck), checkpoint_path=str(tmp_path))
 
 
 def test_unwritable_checkpoint_path_fails_before_the_first_node(tmp_path, monkeypatch):
