@@ -158,11 +158,11 @@ def family_from_triangles(
     return TriangleFamily(n, tuple(members), mode)
 
 
-def _number(text: str, line: str) -> int:
-    """A TRIFAM number: ASCII decimal digits only, which int() alone is not."""
-    if not (text.isascii() and text.isdigit()):
+def _check_number(text: str, line: str) -> None:
+    """Refuse a TRIFAM number unless it is ASCII decimal digits, which int() alone
+    is not, and few enough for int() to take (it always takes 640; see sys.int_info)."""
+    if not (text.isascii() and text.isdigit() and len(text) <= 640):
         raise TrifamError(f"bad number on line {line!r}")
-    return int(text)
 
 
 def parse_family(data: str | bytes) -> TriangleFamily:
@@ -195,7 +195,8 @@ def parse_family(data: str | bytes) -> TriangleFamily:
     n_parts = lines[2].split()
     if len(n_parts) != 2 or n_parts[0] != "n":
         raise TrifamError(f"bad vertex-count line {lines[2]!r}")
-    n = _number(n_parts[1], lines[2])
+    _check_number(n_parts[1], lines[2])
+    n = int(n_parts[1])
 
     members: list[tuple[Triangle, int]] = []
     for line in lines[3:]:
@@ -205,11 +206,12 @@ def parse_family(data: str | bytes) -> TriangleFamily:
             suffix = parts.pop()
             if suffix[:1] != "x":
                 raise TrifamError(f"bad multiplicity suffix {suffix!r} on line {line!r}")
-            mult = _number(suffix[1:], line)
+            _check_number(suffix[1:], line)
+            mult = int(suffix[1:])
         if len(parts) != 3:
             raise TrifamError(f"bad member line {line!r}")
-        # one test for the three vertices; a call each slowed parsing by 20%
-        _number("".join(parts), line)
+        # one check for the three vertices; a check each slowed parsing by 20%
+        _check_number("".join(parts), line)
         a, b, c = map(int, parts)
         if not a < b < c:
             raise TrifamError(f"vertices not ascending on line {line!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 
@@ -401,10 +402,10 @@ def load_checkpoint(path: str) -> dict:
     pos = 1  # lines read so far, so the last one read is line pos
 
     def integer(text: str) -> int:
-        try:
+        # signed ASCII decimal as written; int() also takes "1_3", may refuse 641 digits
+        if re.fullmatch(r"-?[0-9]{1,640}", text):
             return int(text)
-        except ValueError:
-            raise SearchError(f"{path}: line {pos}: expected an integer, got {text!r}") from None
+        raise SearchError(f"{path}: line {pos}: expected an integer, got {text!r}")
 
     def field(key: str):
         """The value on the next line, which must read "key value"."""

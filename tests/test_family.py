@@ -134,6 +134,13 @@ def test_parse_accepts_bytes():
         "trifam 1\nmode set\nn 1_0\n0 1 2\n",
         "trifam 1\nmode set\nn 4\n0 1 +2\n",
         "trifam 1\nmode multiset\nn \u0661\u0660\n0 1 2 x\u0662\n",
+        # more digits than int() may take: a ValueError traceback before the fix
+        pytest.param("trifam 1\nmode set\nn " + "1" * 5000 + "\n0 1 2\n", id="long-n"),
+        pytest.param("trifam 1\nmode set\nn 4\n0 1 " + "2" * 5000 + "\n", id="long-vertex"),
+        pytest.param(
+            "trifam 1\nmode set\nn 4\n" + " ".join(d * 1500 for d in "123") + "\n",
+            id="long-vertices",
+        ),
         "trifam 1\nmode set\nn 3\n0 1 3\n",
     ],
 )

@@ -284,7 +284,14 @@ def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
     with pytest.raises(SearchError):
         load_checkpoint(str(bad))
 
-    for field, value in (("prefix", "abc"), ("nodes", "x")):
+    # numbers int() reads that a checkpoint never holds, and one it refuses
+    for field, value in (
+        ("prefix", "abc"),
+        ("nodes", "x"),
+        ("nodes", "1_3"),
+        ("prove_k", "+0"),
+        ("nodes", "1" * 5000),
+    ):
         bad.write_text(re.sub(rf"(?m)^{field} .*$", f"{field} {value}", text))
         with pytest.raises(SearchError):
             load_checkpoint(str(bad))
