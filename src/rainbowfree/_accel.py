@@ -27,7 +27,15 @@ only turn rainbow its own triple or a triple (a, b, w) on one of its
 edges (a, b).  For w off the triangle the latter is a property of the
 edge alone, its edge witness (see _edge_witness), so list_extensions
 scans each edge once and shares the answer among every triangle on it
-and both multiplicities: one call costs O(n^3) for the C(n,3) pool.
+and both multiplicities: a listing from scratch costs O(n^3) for the
+C(n,3) pool.  A search child's list is derived from its parent's: only
+the triangles that still extend the parent and meet the new member are
+tested again, and only on the edges that meet it.
+
+The labeling DFS behind is_min_labeled and min_labeling prunes with the
+automorphisms it meets; is_min_labeled also starts from automorphisms
+its caller already knows and hands back those it holds on an accept, so
+a search seeds each child's walk with its parent's.
 """
 
 from __future__ import annotations
@@ -177,7 +185,10 @@ def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
     return _after_add(cnt, codes, tm, n, x, y, z, add_m, {})
 
 
-def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, out):
+def list_extensions(
+    cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, out,
+    parent=None, x=0, y=0, z=0,
+):
     """Record the largest rainbow-safe multiplicity per pool triangle >= start.
 
     out[idx] becomes 0 (cannot extend), 1, or 2; entries below start are
@@ -187,23 +198,45 @@ def list_extensions(cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, 
     a per-node constraint and is left to the caller.
 
     Each triangle is tested by the rule of _after_add with one edge cache
-    for the whole call, so each edge is scanned for witnesses at most once
-    and a call costs O(n^3) for the C(n,3) pool.
+    for the whole call, so each edge is scanned for witnesses at most once.
+    Without parent, every triangle is tested for every multiplicity up to
+    max_mult: a listing from scratch, O(n^3) for the C(n,3) pool.
+
+    With parent, the list of the family without its member (x, y, z),
+    x < y < z, for the same max_mult and a start no later than this one,
+    only what that member changes is tested again:
+    - a parent entry of 0 stays 0, as rainbow triples stay rainbow when
+      copies are added, and a parent entry of 1 caps the entry at 1;
+    - a triangle sharing no vertex with the member keeps its entry: its
+      edges' owner counts, the counts its edge witnesses read and the
+      multiplicities they look up are all unchanged;
+    - the other triangles are tested for the multiplicities their parent
+      entry allows; an edge of theirs that misses the member keeps its
+      witness, which is 0 under a nonzero parent entry, so only the edges
+      meeting the member are scanned.
     """
+    total = len(pool_a)
+    if parent is None:
+        parent = [max_mult] * total
+        hit = [True] * n
+    else:
+        hit = [False] * n
+        hit[x] = hit[y] = hit[z] = True
     wit: dict[int, int] = {}
-    cap = 0
-    for idx, a, b, c in zip(
-        range(start, pool_a.shape[0]), pool_a[start:], pool_b[start:], pool_c[start:]
-    ):
-        out[idx] = 0
-        if _after_add(cnt, codes, tm, n, a, b, c, 1, wit) == 1:
+    out[start:] = parent[start:]
+    for idx in itertools.compress(range(start, total), parent[start:]):
+        a, b, c = pool_a[idx], pool_b[idx], pool_c[idx]
+        ha, hb, hc = hit[a], hit[b], hit[c]
+        if not (ha or hb or hc):
             continue
-        m = 1
-        if max_mult >= 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit) == 0:
-            m = 2
-        out[idx] = m
-        cap += m
-    return cap
+        if ha + hb + hc == 1:
+            # the edge missing the member kept its witness, 0 here
+            wit[b * n + c if ha else a * n + c if hb else a * n + b] = 0
+        if _after_add(cnt, codes, tm, n, a, b, c, 1, wit) == 1:
+            out[idx] = 0
+        elif out[idx] == 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit) == 1:
+            out[idx] = 1
+    return sum(out[start:])
 
 
 def _orbit_root(par, x):
@@ -287,7 +320,7 @@ def _dive(mem, sup, r, lab, choice, level, vec, bpath, out_lab):
     return best
 
 
-def _label_dfs(mem, n, best, stop, out_lab):
+def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
     """Walk labelings of the support, comparing sorted member codes to best.
 
     mem lists the member rows (a, b, c, m) ascending; the support is the
@@ -328,9 +361,12 @@ def _label_dfs(mem, n, best, stop, out_lab):
     every node and comes later in position order: it can only tie, and
     ties keep the earlier labeling.  best, out_lab and the return value
     are therefore the same as without pruning.
+
+    The argument holds for any automorphisms, so the stored list starts
+    from seed, automorphisms known in advance as permutations of support
+    positions; they count toward its cap of 2s + 8.  When the walk ends
+    without returning 1, the automorphisms it holds go to gens_out.
     """
-    if not mem:
-        return 0
     sup = sorted({v for a, b, c, _ in mem for v in (a, b, c)})
     s = len(sup)
     r = n + 2  # exceeds every label, including the fresh ones
@@ -343,12 +379,12 @@ def _label_dfs(mem, n, best, stop, out_lab):
     if stop == 0:
         best = _dive(mem, sup, r, lab, choice, 0, None, bpath, out_lab)
     max_gens = 2 * s + 8
-    gens: list[list[int]] = []
+    gens: list[list[int]] = list(seed[:max_gens])
     # per level: orbit forest of the stored automorphisms fixing the
     # prefix, and how many of them it has absorbed (-1: not built)
     par: list[list[int]] = [[] for _ in range(s)]
     seen = [-1] * s
-    level = 0
+    level = 0 if s else -1  # no members: the empty labeling is the only one
     while level >= 0:
         prev = choice[level]
         if prev >= 0:
@@ -428,18 +464,27 @@ def _label_dfs(mem, n, best, stop, out_lab):
             continue
         if level < s - 1:
             level += 1
+    if gens_out is not None:
+        gens_out[:] = gens
     return 0
 
 
-def is_min_labeled(mem, n):
+def is_min_labeled(mem, n, seed=(), gens_out=None):
     """Is the identity labeling lexicographically minimal for these members?
 
     mem lists the member rows (a, b, c, m) ascending.  Returns 0 when a
     strictly smaller labeling exists, else 1.
+
+    seed lists automorphisms of the members known in advance, each as a
+    list mapping support position to support position; the walk prunes
+    with them from its first node, and any automorphisms give the same
+    verdict.  On a 1, the automorphisms the walk held at its end (the
+    seeds included, at most 2s + 8 for s support vertices) are written to
+    gens_out when it is given.
     """
     r = n + 2
     best = [((a * r + b) * r + c) * 4 + m for a, b, c, m in mem]
-    return 1 - _label_dfs(mem, n, best, 1, None)
+    return 1 - _label_dfs(mem, n, best, 1, None, seed, gens_out)
 
 
 def min_labeling(mem, n, out_lab):

@@ -355,6 +355,8 @@ def _cmd_rs(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
+    if args.a == args.b == "-":
+        raise _CliError("iso reads standard input once: give '-' for at most one family")
     fa = _read_family(args.a)
     fb = _read_family(args.b)
     same = are_isomorphic(fa, fb)

@@ -551,6 +551,17 @@ def test_iso(tmp_path, capsys):
     assert code == OK and out == "isomorphic=true\n"
 
 
+def test_iso_refuses_stdin_for_both_families(tmp_path, capsys, monkeypatch):
+    # standard input reads once, so a second '-' would parse an empty family
+    text = serialize_family(t_star(8))
+    a = save(tmp_path, "a.trifam", t_star(8))
+    code, out, err = run_cli(capsys, ["iso", "-", "-"], stdin=text, monkeypatch=monkeypatch)
+    assert code == USAGE and out == ""
+    assert err == "error: iso reads standard input once: give '-' for at most one family\n"
+    code, out, _ = run_cli(capsys, ["iso", "-", a], stdin=text, monkeypatch=monkeypatch)
+    assert code == OK and out == "isomorphic\n"
+
+
 def test_canon_normalizes_relabelings(tmp_path, capsys):
     perm = {0: 5, 1: 2, 2: 7, 3: 0, 4: 3, 5: 1, 6: 6, 7: 4}
     shuffled = family_from_triangles(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowfree._accel import is_min_labeled
 from rainbowfree.canon import (
     are_isomorphic,
     canonical_form,
@@ -117,6 +118,41 @@ def test_canonical_labeling_matches_brute_force(f):
     assert mapping == want
     identity = sorted((*t, m) for t, m in f.members)
     assert is_canonical(f) == (identity == best)
+
+
+def brute_automorphisms(f):
+    """Every permutation of support positions carrying the members onto
+    themselves: g[i] is the position support position i goes to."""
+    sup = sorted({v for t, _ in f.members for v in t})
+    pos = {v: i for i, v in enumerate(sup)}
+    members = sorted(f.members)
+    return [
+        list(g)
+        for g in itertools.permutations(range(len(sup)))
+        if sorted((tuple(sorted(sup[g[pos[v]]] for v in t)), m) for t, m in members) == members
+    ]
+
+
+@PROPERTY
+@given(st.integers(3, 7).flatmap(families), st.randoms(use_true_random=False))
+def test_seeded_canonicity_walks_keep_the_verdict(f, rnd):
+    # seeds drawn from the true automorphisms leave the verdict as brute
+    # force finds it, and an accepting walk hands back only automorphisms
+    _, image = canonical_relabeling(f)
+    _, best = brute_canonical(f)  # the image's minimum too
+    for g in (f, image):
+        mem = sorted((*t, m) for t, m in g.members)
+        want = int(mem == best)
+        auts = brute_automorphisms(g)
+        cap = 2 * len({v for t, _ in g.members for v in t}) + 8
+        seed = rnd.sample(auts, rnd.randint(0, min(len(auts), cap)))
+        for s in ((), seed):
+            gens = []
+            assert is_min_labeled(mem, g.n, s, gens) == want
+            assert len(gens) <= cap
+            assert all(h in auts for h in gens)
+            if want:
+                assert all(h in gens for h in s)
 
 
 same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), families(n)))

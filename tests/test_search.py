@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rainbowfree.search as search_module
-from rainbowfree._accel import build_pool, list_extensions
+from rainbowfree._accel import add_member, build_pool, list_extensions
 from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
 from rainbowfree.constructions import doubled_nine, pair_family
 from rainbowfree.family import MULTISET, SET, family_from_triangles
@@ -531,6 +531,69 @@ def test_list_extensions_matches_brute_force():
                 assert out[:start] == [-1] * start
                 assert out[start:] == want[start:], (f, start, max_mult)
                 assert cap == sum(want[start:])
+
+
+def test_parent_derived_lists_match_full_listings():
+    # along random increasing walks, each child's list derived from its
+    # parent's equals a listing from scratch, entry for entry
+    rng = random.Random(19)
+    for trial in range(40):
+        n = 6 + trial % 5
+        mode = (SET, MULTISET)[trial % 2]
+        max_mult = 2 if mode == MULTISET else 1
+        pool, pool_a, pool_b, pool_c = build_pool(n)
+        cnt = [[0] * n for _ in range(n)]
+        members = []
+        parent = [0] * len(pool)
+        list_extensions(cnt, [], [], n, pool_a, pool_b, pool_c, 0, max_mult, parent)
+        start = 0
+        while True:
+            open_ = [i for i in range(start, len(pool)) if parent[i]]
+            if not open_:
+                break
+            idx = rng.choice(open_)
+            m = rng.randint(1, parent[idx])
+            add_member(cnt, *pool[idx], m)
+            members.append((pool[idx], m))
+            codes = [(a * n + b) * n + c for (a, b, c), _ in members]
+            tm = [k for _, k in members]
+            start = idx + 1
+            args = (cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult)
+            full, child = [-1] * len(pool), [-1] * len(pool)
+            cap = list_extensions(*args, full)
+            assert list_extensions(*args, child, parent, *pool[idx]) == cap, members
+            assert child == full, members
+            assert cap == sum(full[start:])
+            parent = child
+
+
+@pytest.mark.parametrize(
+    "n,mode,target,k", [(8, SET, "enumerate", 0), (7, MULTISET, "prove", 7)]
+)
+def test_resumed_legs_make_the_canonicity_calls_of_one_run(
+    tmp_path, monkeypatch, n, mode, target, k
+):
+    # replayed nodes hand their children no automorphisms, which may slow
+    # their walks but must not change a verdict or add a call
+    calls = []
+    real = search_module.is_min_labeled
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(search_module, "is_min_labeled", spy)
+    base = run_search(SearchConfig(n=n, mode=mode, target=target, prove_k=k))
+    whole, calls[:] = len(calls), []
+    ck = str(tmp_path / "legs.ckpt")
+    r = run_search(SearchConfig(n, mode, target, k, node_limit=2, checkpoint_path=ck))
+    legs = 1
+    while not r.completed:
+        r = resume_search(ck, node_limit=2, checkpoint_path=ck)
+        legs += 1
+    assert legs >= 5 and len(calls) == whole > 0
+    assert _result_key(r) == _result_key(base)
+    assert (r.nodes_explored, r.found) == (base.nodes_explored, base.found)
 
 
 def test_search_examples_from_docs():
