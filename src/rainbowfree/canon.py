@@ -41,11 +41,9 @@ def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFam
     Support vertices receive labels 0..s-1; isolated vertices take the
     remaining labels in ascending order.
     """
-    mapping: dict[int, int] = {}
-    if f.members:
-        lab = [-1] * f.n
-        min_labeling([(*t, m) for t, m in sorted(f.members)], f.n, lab)
-        mapping = {v: l for v, l in enumerate(lab) if l >= 0}
+    lab: list[int] = []
+    min_labeling([(*t, m) for t, m in sorted(f.members)], f.n, lab)
+    mapping = {v: l for v, l in enumerate(lab) if l >= 0}
     taken = set(mapping.values())
     spare = iter(l for l in range(f.n) if l not in taken)
     for v in range(f.n):
@@ -72,8 +70,6 @@ def canonical_form(f: TriangleFamily) -> bytes:
 
 def is_canonical(f: TriangleFamily) -> bool:
     """Is f labeled canonically (identity relabeling is minimal)?"""
-    if not f.members:
-        return True
     return bool(is_min_labeled([(*t, m) for t, m in sorted(f.members)], f.n))
 
 

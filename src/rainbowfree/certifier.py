@@ -4,12 +4,13 @@ Given a rainbow-free family, this module recomputes the counting
 argument that bounds its size. It builds the union graph once, splits
 the vertices into a maximum independent set A of it and the rest B,
 assigns every member a B-edge (beta) with each edge's preimage, and
-builds a witness set per B-vertex from those preimages. One d-sum per
-B-vertex gives the degree identity and the per-vertex bound; the master
-chain 2|T| <= |A||B| <= n^2/4 follows. For families of the extremal size
-n^2/8 it also checks the structural facts that force the family to be
-t_star: no member inside B, the four colored-multigraph properties, and
-the matched-pairs decomposition.
+builds a witness set per B-vertex from those preimages. Each witness
+picks one vertex per member copy on its B-vertex's edges, so its size is
+that vertex's d-sum: the witnesses give the degree identity and the
+per-vertex bound, and the master chain 2|T| <= |A||B| <= n^2/4 follows.
+For families of the extremal size n^2/8 it also checks the structural
+facts that force the family to be t_star: no member inside B, the four
+colored-multigraph properties, and the matched-pairs decomposition.
 
 With no member inside B, a member's beta edge is its only B-edge, so the
 projected multigraph comes straight from beta, each edge colored by its
@@ -309,26 +310,6 @@ def build_witness(
     return IndependentWitness(b, i_b, picks)
 
 
-def check_degree_sums(
-    f: TriangleFamily, p: Bipartition, beta: BetaAssignment
-) -> tuple[bool, int, bool, tuple[tuple[Vertex, int, bool], ...]]:
-    """Sum d over the E_B edges at each B-vertex, once, for eq1 and eq2.
-
-    eq1: the sums total 2*size (each member counts at both ends of its
-    edge). eq2: each sum is at most |A|. Rows are (b, sum, sum == |A|).
-    """
-    d = beta.d
-    sums = {b: 0 for b in p.b}
-    for e in p.e_b:
-        for v in e:
-            if v in sums:
-                sums[v] += d.get(e, 0)
-    limit = len(p.a)
-    rows = tuple((b, sums[b], sums[b] == limit) for b in p.b)
-    total = sum(s for _, s, _ in rows)
-    return total == 2 * f.size, total, all(s <= limit for _, s, _ in rows), rows
-
-
 def check_master_chain(
     f: TriangleFamily, p: Bipartition
 ) -> tuple[bool, tuple[int, int, Fraction]]:
@@ -450,7 +431,9 @@ def certify(f: TriangleFamily) -> CertifierReport:
     p = bipartition(g)
     beta = build_beta(support, g, p)
     witnesses = tuple(build_witness(support, g, p, beta, b) for b in p.b)
-    eq1_ok, eq1_val, eq2_ok, eq2_rows = check_degree_sums(support, p, beta)
+    # a witness holds one pick per copy on b's B-edges: its size is b's d-sum
+    eq2_rows = tuple((w.b, len(w.i_b), len(w.i_b) == len(p.a)) for w in witnesses)
+    eq1_val = sum(s for _, s, _ in eq2_rows)
     chain_ok, chain_vals = check_master_chain(support, p)
     step1 = check_step1(support, p)
     tb_props: tuple[bool, bool, bool, bool] | None = None
@@ -473,9 +456,9 @@ def certify(f: TriangleFamily) -> CertifierReport:
         partition=p,
         beta=beta,
         witnesses=witnesses,
-        eq1_holds=eq1_ok,
+        eq1_holds=eq1_val == 2 * support.size,
         eq1_value=eq1_val,
-        eq2_holds=eq2_ok,
+        eq2_holds=all(s <= len(p.a) for _, s, _ in eq2_rows),
         eq2_values=eq2_rows,
         chain_holds=chain_ok,
         chain_values=chain_vals,

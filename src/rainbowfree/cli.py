@@ -189,27 +189,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if cert is not None:
         return _emit_rainbow(args, cert)
     lines = ["status=rainbow-free" if args.porcelain else "rainbow-free"]
-    code = OK
+    state = None
     if args.verify_bound:
         if f.mode == MULTISET:
-            lines.append(
-                "bound=n/a" if args.porcelain else "bound n/a (multiset mode)"
-            )
-        elif 8 * f.size <= f.n * f.n:
-            lines.append(
-                "bound=holds"
-                if args.porcelain
-                else f"bound 8|T| = {8 * f.size} <= n^2 = {f.n * f.n}: holds"
-            )
+            state, plain = "n/a", "n/a (multiset mode)"
         else:
-            lines.append(
-                "bound=exceeded"
-                if args.porcelain
-                else f"bound 8|T| = {8 * f.size} <= n^2 = {f.n * f.n}: exceeded"
-            )
-            code = FAIL
+            state = "holds" if 8 * f.size <= f.n * f.n else "exceeded"
+            plain = f"8|T| = {8 * f.size} <= n^2 = {f.n * f.n}: {state}"
+        lines.append(f"bound={state}" if args.porcelain else f"bound {plain}")
     _emit(args, "\n".join(lines) + "\n")
-    return code
+    return FAIL if state == "exceeded" else OK
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

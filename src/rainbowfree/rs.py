@@ -86,13 +86,12 @@ def check_t2_constraints(
     diagnostics as an internal error.
     """
     notes: list[str] = []
-    seen: dict[Edge, Triangle] = {}
-    for t in d.t2.support:
+    for i, t in enumerate(d.t2.support):
         for e in triangle_edges(t):
-            if e in seen:
-                notes.append(f"edge {e} shared by members {seen[e]} and {t}")
-            else:
-                seen[e] = t
+            # owners lists an edge's copies in member order
+            first = d.g2.owners[e][0][0]
+            if first != i:
+                notes.append(f"edge {e} shared by members {d.t2.members[first][0]} and {t}")
     members = set(d.t2.support)
     for t in _graph_triangles(d.g2):
         if t not in members:

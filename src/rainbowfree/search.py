@@ -158,9 +158,6 @@ class _ProofFound(Exception):
     pass
 
 
-_Snapshot = tuple[tuple[Triangle, int], ...]
-
-
 class _Searcher:
     """The DFS core: orderly generation with capacity cuts and checkpoints.
 
@@ -182,8 +179,8 @@ class _Searcher:
         self.size = 0
         self.nodes = 0
         self.best = -1
-        self.witnesses: list[_Snapshot] = []
-        self.found_witness: _Snapshot | None = None
+        self.witnesses: list[TriangleFamily] = []
+        self.found_witness: TriangleFamily | None = None
         self.completed = True
         self._bufs: list[list[int]] = []
         # automorphisms of the node at each depth, as maps of its support
@@ -213,8 +210,9 @@ class _Searcher:
         """The stack's member rows (a, b, c, m), ascending."""
         return [(*self.pool[idx], m) for idx, m in self.stack]
 
-    def _snapshot(self) -> _Snapshot:
-        return tuple((self.pool[i], m) for i, m in self.stack)
+    def _snapshot(self) -> TriangleFamily:
+        members = tuple((self.pool[i], m) for i, m in self.stack)
+        return TriangleFamily(self.cfg.n, members, self.cfg.mode)
 
     def _needed(self) -> int:
         return self.cfg.prove_k if self.cfg.target == PROVE else self.best
@@ -249,7 +247,7 @@ class _Searcher:
 
     # -- the DFS
 
-    def run(self, replay: _Snapshot = ()) -> None:
+    def run(self, replay: tuple[tuple[Triangle, int], ...] = ()) -> None:
         if self.cfg.checkpoint_path:
             # an unwritable path fails now, not after the first interval
             _write_checkpoint_file(self.cfg.checkpoint_path, None)
@@ -291,7 +289,7 @@ class _Searcher:
             *parent,
         )
 
-    def _process(self, replay: _Snapshot, capacity: int) -> None:
+    def _process(self, replay: tuple[tuple[Triangle, int], ...], capacity: int) -> None:
         """Count and record the node on the stack, then try its children.
 
         A child is dropped, before its labeling DFS, once its size plus
@@ -377,9 +375,8 @@ class _Searcher:
         lines += [f"{a} {b} {c} {m}" for a, b, c, m in self._rows()]
         blocks = self.witnesses if found is None else [found]
         lines.append(f"witnesses {len(blocks)}")
-        for snap in blocks:
+        for family in blocks:
             lines.append("witness")
-            family = TriangleFamily(cfg.n, snap, cfg.mode)
             lines.append(serialize_family(family).rstrip("\n"))
         _write_checkpoint_file(path, "\n".join(lines) + "\n")
 
@@ -477,7 +474,7 @@ def load_checkpoint(path: str) -> dict:
     if len(blocks) != count:
         raise SearchError(f"{path}: witness count mismatch ({len(blocks)} != {count})")
     witnesses = [parse_family("\n".join(block)) for block in blocks]
-    # the witnesses are rebuilt on the header's n and mode when resumed
+    # a resumed search reports the witnesses as read, so they must match the header
     for w in witnesses:
         if (w.n, w.mode) != (state["n"], state["mode"]):
             raise SearchError(
@@ -503,19 +500,18 @@ def load_checkpoint(path: str) -> dict:
 
 def _finish(s: _Searcher) -> SearchResult:
     cfg = s.cfg
-    families = [TriangleFamily(cfg.n, snap, cfg.mode) for snap in s.witnesses]
-    best = max((f.size for f in families), default=0)
+    best = max((f.size for f in s.witnesses), default=0)
     found: bool | None = None
     if cfg.target == PROVE:
         witnesses: tuple[TriangleFamily, ...] = ()
         if s.found_witness is not None:
-            witnesses = (TriangleFamily(cfg.n, s.found_witness, cfg.mode),)
+            witnesses = (s.found_witness,)
             best = witnesses[0].size
         if s.completed or witnesses:
             found = bool(witnesses)
     else:
         witnesses = tuple(
-            sorted((f for f in families if f.size == best), key=lambda f: f.members)
+            sorted((f for f in s.witnesses if f.size == best), key=lambda f: f.members)
         )
     result = SearchResult(
         target=cfg.target,
@@ -567,7 +563,7 @@ def resume_search(
         )
     )
     s.nodes, s.best = state["nodes"], state["best"]
-    s.witnesses = [f.members for f in state["witnesses"]]
+    s.witnesses = list(state["witnesses"])
     if state["found"]:
         s.found_witness = s.witnesses[0]
     if not state["done"]:

@@ -10,7 +10,14 @@ from rainbowfree.canon import (
     canonical_relabeling,
     is_canonical,
 )
-from rainbowfree.family import MULTISET, SET, family_from_triangles
+from rainbowfree.cli import OK, main
+from rainbowfree.family import (
+    MULTISET,
+    SET,
+    TriangleFamily,
+    family_from_triangles,
+    serialize_family,
+)
 
 from oracles import brute_are_isomorphic, random_family
 
@@ -92,3 +99,18 @@ def test_different_n_not_isomorphic():
     f = family_from_triangles(4, [(0, 1, 2)])
     g = family_from_triangles(5, [(0, 1, 2)])
     assert not are_isomorphic(f, g)
+
+
+def test_member_less_family(tmp_path, capsys):
+    # the labeling walk of an empty support returns no labels and accepts
+    f = TriangleFamily(5, ())
+    mapping, g = canonical_relabeling(f)
+    assert mapping == {v: v for v in range(5)} and g == f
+    assert canonical_form(f) == b"cf1 5 "
+    assert is_canonical(f)
+    assert are_isomorphic(f, TriangleFamily(5, ()))
+    assert not are_isomorphic(f, TriangleFamily(6, ()))
+    path = tmp_path / "empty.trifam"
+    path.write_text(serialize_family(f))
+    assert main(["canon", str(path)]) == OK
+    assert capsys.readouterr().out == serialize_family(f)

@@ -17,7 +17,6 @@ from rainbowfree.certifier import (
     build_beta,
     build_witness,
     certify,
-    check_degree_sums,
     check_master_chain,
     check_matched_pairs,
     check_step1,
@@ -116,16 +115,18 @@ def test_beta_requires_a_b_edge():
         build_beta(f, union_graph(f), p)
 
 
+def test_beta_refuses_a_member_sharing_two_edges():
+    # (0,1,2) lies inside B and shares (0,1) and (1,2): a rainbow on 0,1,2
+    f = family_from_triangles(5, [(0, 1, 2), (0, 1, 3), (1, 2, 4)])
+    p = Bipartition(a=(3, 4), b=(0, 1, 2), e_b=((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(CertifierError, match="shares 2 edges: family has a rainbow"):
+        build_beta(f, union_graph(f), p)
+
+
 def test_eq1_counts_every_copy_twice():
     for f in (t_star(8), pair_family(7, 2, 3), doubled_nine()):
-        support = f if f.mode == "set" else family_from_triangles(
-            f.n, list(f.support), "set"
-        )
-        g = union_graph(support)
-        p = bipartition(g)
-        beta = build_beta(support, g, p)
-        ok, value, _, _ = check_degree_sums(support, p, beta)
-        assert ok and value == 2 * support.size
+        r = certify(f)
+        assert r.eq1_holds and r.eq1_value == 2 * r.support_size
 
 
 def test_witnesses_on_t_star8():
@@ -166,13 +167,9 @@ def test_witness_dependence_is_reported():
 
 
 def test_eq2_rows_track_tightness():
-    f = t_star(8)
-    g = union_graph(f)
-    p = bipartition(g)
-    beta = build_beta(f, g, p)
-    _, _, ok, rows = check_degree_sums(f, p, beta)
-    assert ok
-    assert rows == ((0, 4, True), (1, 4, True), (2, 4, True), (3, 4, True))
+    r = certify(t_star(8))
+    assert r.eq2_holds
+    assert r.eq2_values == ((0, 4, True), (1, 4, True), (2, 4, True), (3, 4, True))
 
 
 def test_master_chain_values():

@@ -618,6 +618,9 @@ def test_config_supplies_defaults(tmp_path, capsys):
     cfg.write_text("n = 6\nporcelain = true\n# comment\n\n")
     code, out, _ = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == OK and out.startswith("best=4\n")
+    cfg.write_text("n = 6\nporcelain = no\n")
+    code, out, _ = run_cli(capsys, ["search", "--config", str(cfg)])
+    assert code == OK and out.startswith("best = 4\n")
 
 
 def test_config_explicit_flags_win(tmp_path, capsys):
@@ -653,6 +656,9 @@ def test_config_errors(tmp_path, capsys):
     cfg.write_text("n = 6\nmode = bogus\n")
     code, _, err = run_cli(capsys, ["search", "--config", str(cfg)])
     assert code == USAGE and f"{cfg}:2: bad value 'bogus' for mode" in err
+    cfg.write_text("n = 6\nporcelain = maybe\n")
+    code, out, err = run_cli(capsys, ["search", "--config", str(cfg)])
+    assert (code, out) == (USAGE, "") and f"{cfg}:2: bad value 'maybe' for porcelain" in err
 
 
 def test_config_dashed_keys(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import tracemalloc
 
+from rainbowfree._accel import _hall3
 from rainbowfree.family import MULTISET, SET, family_from_triangles
 from rainbowfree.rainbow import (
+    RainbowCertificate,
     edge_owners,
     find_rainbow,
     has_rainbow,
@@ -53,6 +56,48 @@ def test_certificate_render_and_owners():
     assert text.startswith(f"rainbow {x} {y} {z}\n")
     assert text.count("owner") == 3
     assert edge_owners(f, (0, 1)) == ((0, 0), (1, 0))
+
+
+def test_verify_certificate_refuses_each_defect():
+    f = family_from_triangles(
+        5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 4, 2)], MULTISET
+    )
+    good = RainbowCertificate(
+        (0, 1, 2), (((0, 1), (0, 0)), ((0, 2), (2, 0)), ((1, 2), (3, 0)))
+    )
+    e01, e02, e12 = good.assignment
+    assert verify_certificate(f, good)
+    # the doubled member's second copy serves as well
+    assert verify_certificate(f, RainbowCertificate((0, 1, 2), (e01, e02, ((1, 2), (3, 1)))))
+    defects = {
+        "triple out of range": ((0, 1, 5), good.assignment),
+        # the edges and owners match the triple, only its order is wrong
+        "triple not ascending": ((0, 2, 1), (e02, e01, ((2, 1), (3, 0)))),
+        "two entries": ((0, 1, 2), (e01, e02)),
+        "an edge not the triple's": ((0, 1, 2), (e01, e02, ((1, 3), (3, 0)))),
+        "edges out of order": ((0, 1, 2), (e02, e01, e12)),
+        "one copy assigned twice": ((0, 1, 2), (e01, ((0, 2), (0, 0)), e12)),
+        "member index too large": ((0, 1, 2), (e01, e02, ((1, 2), (4, 0)))),
+        "member index negative": ((0, 1, 2), (e01, e02, ((1, 2), (-1, 0)))),
+        "copy beyond the multiplicity": ((0, 1, 2), (e01, e02, ((1, 2), (3, 2)))),
+        "member lacks its edge": ((0, 1, 2), (((0, 1), (3, 1)), e02, e12)),
+    }
+    for name, (triple, assignment) in defects.items():
+        assert not verify_certificate(f, RainbowCertificate(triple, assignment)), name
+
+
+def test_hall3_matches_distinct_representatives():
+    # cm copies of the triple own all three edges; edge i also has
+    # c_i - cm private owners, so an owner serves at most one edge unless
+    # it is a copy of the triple
+    for c in itertools.product(range(4), repeat=3):
+        for cm in range(min(c) + 1):
+            owners = [
+                [("t", k) for k in range(cm)] + [(i, k) for k in range(c[i] - cm)]
+                for i in range(3)
+            ]
+            sdr = any(len(set(pick)) == 3 for pick in itertools.product(*owners))
+            assert _hall3(*c, cm) == sdr, (c, cm)
 
 
 def test_find_rainbow_matches_oracle_exhaustive_small():
