@@ -117,8 +117,6 @@ def verify_certificate(f: TriangleFamily, c: RainbowCertificate) -> bool:
     t = c.triple
     if len(t) != 3 or not (0 <= t[0] < t[1] < t[2] < f.n):
         return False
-    if len(c.assignment) != 3:
-        return False
     if tuple(e for e, _ in c.assignment) != triangle_edges(t):
         return False
     refs = [r for _, r in c.assignment]

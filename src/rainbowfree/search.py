@@ -7,14 +7,26 @@ the lexicographically least one for its member multiset. Deleting the
 largest member of such a family leaves another such family, so every
 isomorphism class is visited exactly once, with no seen-set.
 
-A child is listed before it is tested: its extensions give its capacity,
-a bound on what its whole subtree can still add, and a child whose size
-plus capacity cannot reach the best (or the size to prove) is dropped
-before the labeling DFS that tests its canonicity. The parent's own list
-bounds every child's capacity, so most children are dropped before they
-are listed. Either cut removes only subtrees that cannot reach the
-target and keeps the DFS order, so every class that can is still visited
-exactly once; only the node count depends on the cuts.
+A child is listed before it is tested, and two cuts bound what its whole
+subtree can still add; a child whose size plus either bound cannot reach
+the best (or the size to prove) is dropped before the labeling DFS that
+tests its canonicity. The first bound is its capacity, the summed
+multiplicities of its extensions; the parent's own list bounds every
+child's capacity, so most children are dropped before they are listed.
+The second is the private-edge bound. In a rainbow-free family each
+member shares at most one of its edges with other triangles, and a
+doubled member shares none (rainbow.shared_edge_count, rs): abc with ab
+on abd and ac on ace would make ab, ac, bc rainbow, and so would abd
+beside two copies of abc. Pool indices strictly increase, so every
+triangle a subtree adds is new, and its two (doubled: three) private
+edges are uncovered now, lie on triangles in the child's list and belong
+to no other added triangle. With U the uncovered edges of the listed
+triangles and D the listed entries of 2, d doubled and s single added
+triangles need 3d + 2s <= |U| with d <= D, so the subtree adds at most
+2x + (|U| - 3x) // 2 for x = min(D, |U| // 3); in set mode D is 0 and
+this is |U| // 2. Either cut removes only subtrees that cannot reach
+the target and keeps the DFS order, so every class that can is still
+visited exactly once; only the node count depends on the cuts.
 
 Each node redoes only what its newest member changes. A child's
 extension list is derived from its parent's (see
@@ -37,6 +49,7 @@ maximum.
 from __future__ import annotations
 
 import errno
+import itertools
 import os
 import re
 import tempfile
@@ -49,12 +62,14 @@ from ._accel import (
     list_extensions,
     rainbow_after_add,
 )
+from .canon import canonical_relabeling
 from .family import (
     MODES,
     MULTISET,
     SET,
     Triangle,
     TriangleFamily,
+    TrifamError,
     parse_family,
     serialize_family,
 )
@@ -67,9 +82,10 @@ TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
 # its pool and lists their extensions for every child it tests: at n = 64
-# about 0.09 s for the root's listing from scratch and 0.025 s for a
-# child's derived from its parent's (Python 3.11, 2-CPU machine), and no
-# exhaustive search near this size ends.
+# about 0.1 s for the root's listing from scratch, 0.025 s for a child's
+# derived from its parent's and 0.02 s for a child's private-edge bound
+# (Python 3.11, 2-CPU machine), and no exhaustive search near this size
+# ends.
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
@@ -159,7 +175,7 @@ class _ProofFound(Exception):
 
 
 class _Searcher:
-    """The DFS core: orderly generation with capacity cuts and checkpoints.
+    """The DFS core: orderly generation with bound cuts and checkpoints.
 
     The state is the stack of (pool index, multiplicity) members, their
     owner counts and size; the member rows (a, b, c, m) and what the
@@ -289,13 +305,55 @@ class _Searcher:
             *parent,
         )
 
+    def _private_bound(self) -> int:
+        """The private-edge bound of the family on the stack: at most
+        what its subtree can add, read from its depth's extension list
+        (see the module docstring)."""
+        n, cnt, pool = self.cfg.n, self.cnt, self.pool
+        start = self.stack[-1][0] + 1 if self.stack else 0
+        listed = self._bufs[len(self.stack)][start:]
+        free = set()
+        for idx in itertools.compress(range(start, self.total), listed):
+            a, b, c = pool[idx]
+            row_a = cnt[a]
+            if not row_a[b]:
+                free.add(a * n + b)
+            if not row_a[c]:
+                free.add(a * n + c)
+            if not cnt[b][c]:
+                free.add(b * n + c)
+        u = len(free)
+        x = min(listed.count(2), u // 3)
+        return 2 * x + (u - 3 * x) // 2
+
+    def _cut(self, capacity: int, listed: bool = False) -> str | None:
+        """The cut that drops a branch from the family on the stack, or None.
+
+        "capacity": the stack's size plus capacity, a bound on what the
+        branch adds, cannot reach _needed().  "private": listed is True,
+        the stack's top is a child whose extensions are listed at its
+        depth, and its size plus their private-edge bound cannot.
+        """
+        needed = self._needed()
+        if self.size + capacity < needed:
+            return "capacity"
+        if listed and self.size + self._private_bound() < needed:
+            return "private"
+        return None
+
     def _process(self, replay: tuple[tuple[Triangle, int], ...], capacity: int) -> None:
         """Count and record the node on the stack, then try its children.
 
-        A child is dropped, before its labeling DFS, once its size plus
-        capacity cannot reach _needed(); that is read for every child,
-        because the best rises as the DFS goes.  The forced branches of a
-        checkpoint replay are never dropped.
+        Every cut is _cut's, read for every child because the best rises
+        as the DFS goes.  The children's summed capacity from the current
+        one on ends the loop; a child's multiplicity plus the capacity
+        after it drops the child before it is listed; its own capacity,
+        then the private-edge bound of its list, drop it before its
+        labeling DFS.  The private-edge bound counts the uncovered edges
+        of the child's listed triangles: every triangle its subtree adds
+        keeps two of them (a doubled one three) that no other added
+        triangle takes.  The forced branches of a checkpoint replay are
+        never dropped.
 
         A child (t, m) is P + (t, m) for this node's family P, so an
         automorphism of P that maps t's vertex set onto itself, extended
@@ -320,7 +378,7 @@ class _Searcher:
             mm = buf[idx]
             if mm == 0:
                 continue
-            if not replaying and self.size + rest < self._needed():
+            if not replaying and self._cut(rest):
                 break
             rest -= mm
             # fresh vertices must take the next free labels
@@ -345,11 +403,11 @@ class _Searcher:
                     self._pop()
                     replaying = False
                     continue
-                if self.size + m + rest < self._needed():
+                if self._cut(m + rest):
                     continue
                 self._push(idx, m)
                 cap = self._list()
-                if self.size + cap >= self._needed():
+                if self._cut(cap, listed=True) is None:
                     # the automorphisms of this node that fix t setwise,
                     # extended by the identity on t's fresh vertices
                     t = {a, b, c}
@@ -537,6 +595,27 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     return _finish(s)
 
 
+def _check_canonical(path: str, state: dict) -> None:
+    """Refuse a checkpoint whose prefix family or a stored witness is not
+    canonically labeled: the search never holds one, and resuming it
+    would visit classes again or report a class twice.
+
+    Every prefix of a canonical prefix is canonical (see the module
+    docstring), so the deepest prefix family stands for them all.  The
+    test runs min_labeling, not is_min_labeled, so a resumed run makes
+    the canonicity calls of one uninterrupted run.
+    """
+    try:
+        prefix = TriangleFamily(state["n"], state["prefix"], state["mode"])
+    except TrifamError:
+        raise SearchError("checkpoint prefix is not a valid extension path") from None
+    named = [("checkpoint prefix", prefix)]
+    named += [(f"stored witness {i}", w) for i, w in enumerate(state["witnesses"], 1)]
+    for name, f in named:
+        if canonical_relabeling(f)[1].members != tuple(sorted(f.members)):
+            raise SearchError(f"{path}: {name} is not canonically labeled")
+
+
 def resume_search(
     path: str,
     node_limit: int = 0,
@@ -549,8 +628,11 @@ def resume_search(
     already consumed its own, so the cap is applied on top of the node
     count recorded in the checkpoint.  A finished checkpoint is not run
     again: its result is returned, and written again at checkpoint_path.
+    A checkpoint whose prefix family or a stored witness is not
+    canonically labeled is refused.
     """
     state = load_checkpoint(path)
+    _check_canonical(path, state)
     s = _Searcher(
         SearchConfig(
             n=state["n"],

@@ -15,7 +15,13 @@ import rainbowfree.search as search_module
 from rainbowfree._accel import add_member, build_pool, list_extensions
 from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
 from rainbowfree.constructions import doubled_nine, pair_family
-from rainbowfree.family import MULTISET, SET, family_from_triangles
+from rainbowfree.family import (
+    MULTISET,
+    SET,
+    TriangleFamily,
+    family_from_triangles,
+    serialize_family,
+)
 from rainbowfree.rainbow import family_state, find_rainbow, has_rainbow
 from rainbowfree.rs import check_t2_constraints, decompose
 from rainbowfree.search import (
@@ -144,11 +150,21 @@ def test_set_census_is_the_pair_families():
 
 def test_set_census_n11():
     # the node count repeats exactly from run to run; it pins the capacity
-    # cut that drops a child before its labeling DFS
+    # and private-edge cuts that drop a child before its labeling DFS
     r = enumerate_extremal(11)
     assert r.completed and r.best_size == 15 and r.extremal_class_count == 1
     assert are_isomorphic(r.witnesses[0], pair_family(11, 3, 5))
-    assert r.nodes_explored == 401
+    assert r.nodes_explored == 106
+
+
+@pytest.mark.parametrize("n,best,nodes,pairs", [(13, 21, 446, [3]), (14, 24, 1273, [3, 4])])
+def test_set_census_from_the_root(n, best, nodes, pairs):
+    # the classes are the pair families p * (n - 2p) = floor(n^2 / 8) picks
+    r = enumerate_extremal(n)
+    assert r.completed and r.best_size == best and r.nodes_explored == nodes
+    assert r.extremal_class_count == len(pairs)
+    classes = {canonical_form(pair_family(n, p, n - 2 * p)) for p in pairs}
+    assert {canonical_form(w) for w in r.witnesses} == classes
 
 
 def test_multiset_census():
@@ -167,23 +183,90 @@ def test_multiset_census():
     assert are_isomorphic(r.witnesses[0], doubled_nine())
 
 
-@pytest.mark.parametrize(
-    "name,best,nodes,pairs",
-    [
-        ("census_set13.ckpt", 21, 6699, [3]),
-        ("census_set14.ckpt", 24, 40996, [3, 4]),
-        ("census_multiset13.ckpt", 21, 49853, [3]),
-    ],
-)
-def test_late_census_checkpoints(name, best, nodes, pairs):
-    # the README census rows past n = 12 take minutes, so each file is its
-    # run stopped by --node-limit about 100 nodes before the end
-    r = resume_search(str(Path(__file__).parent / "data" / name))
-    assert r.completed and r.best_size == best and r.nodes_explored == nodes
-    assert r.extremal_class_count == len(pairs)
-    n = r.witnesses[0].n
-    classes = {canonical_form(pair_family(n, p, n - 2 * p)) for p in pairs}
-    assert {canonical_form(w) for w in r.witnesses} == classes
+def test_late_census_checkpoint():
+    # the multiset n = 13 census takes about 40 s, so the file is its run
+    # stopped by a node limit 100 nodes before the end
+    r = resume_search(str(Path(__file__).parent / "data" / "census_multiset13.ckpt"))
+    assert r.completed and r.best_size == 21 and r.nodes_explored == 10785
+    assert r.extremal_class_count == 1
+    assert canonical_form(r.witnesses[0]) == canonical_form(pair_family(13, 3, 7))
+
+
+def _largest_addition(f, later):
+    """Most copies a rainbow-free addition of the (triangle, max multiplicity)
+    pairs in later adds to f, by exhaustive DFS with the oracle's check."""
+    rest = list(itertools.accumulate([m for _, m in reversed(later)], initial=0))[::-1]
+    best = 0
+
+    def dfs(i, members, added):
+        nonlocal best
+        best = max(best, added)
+        for j in range(i, len(later)):
+            if added + rest[j] <= best:
+                return
+            t, mm = later[j]
+            for m in range(1, mm + 1):
+                g = TriangleFamily(f.n, members + ((t, m),), f.mode)
+                if not brute_has_rainbow(g):
+                    dfs(j + 1, g.members, added + m)
+
+    dfs(0, f.members, 0)
+    return best
+
+
+@pytest.mark.parametrize("mode", [SET, MULTISET])
+def test_private_bound_covers_every_addition(mode):
+    # the bound must cover every rainbow-free addition from the triangles
+    # listed after the family's last member, and is often below the
+    # capacity; the member-less families on 3..6 vertices, whose largest
+    # additions are the maxima, are the ones where doubled members matter
+    rng = random.Random(21)
+    families = [TriangleFamily(n, (), mode) for n in range(3, 7)]
+    for _ in range(60):
+        f = random_family(rng, rng.randint(3, 7), 4, mode)
+        if f.members and find_rainbow(f) is None:
+            families.append(f)
+    below_capacity = 0
+    for f in families:
+        s = search_module._Searcher(SearchConfig(f.n, mode))
+        cap = s._list()
+        for t, m in sorted(f.members):
+            s._push(s.pool.index(t), m)
+            cap = s._list()
+        bound = s._private_bound()
+        listed = s._bufs[len(s.stack)]
+        start = s.stack[-1][0] + 1 if s.stack else 0
+        later = [(s.pool[i], listed[i]) for i in range(start, s.total) if listed[i]]
+        assert bound >= _largest_addition(f, later), f.members
+        below_capacity += bound < cap
+    assert below_capacity >= 10
+
+
+def test_private_cut_changes_only_node_counts(monkeypatch):
+    # every target gives the same answers with the private-edge cut off,
+    # in more nodes
+    def run_all():
+        out, nodes = [], 0
+        for mode, top in ((SET, 9), (MULTISET, 8)):
+            for n in range(3, top + 1):
+                census = enumerate_extremal(n, mode=mode)
+                best = max_family(n, mode=mode)
+                found = prove_size(n, best.best_size, mode=mode)
+                refuted = prove_size(n, best.best_size + 1, mode=mode)
+                out.append((_result_key(census), _result_key(best), _result_key(found)))
+                out.append((found.found, refuted.found, refuted.witnesses))
+                nodes += census.nodes_explored
+        return out, nodes
+
+    with_cut, nodes = run_all()
+    cut = search_module._Searcher._cut
+    monkeypatch.setattr(
+        search_module._Searcher,
+        "_cut",
+        lambda self, *args, **kw: None if (c := cut(self, *args, **kw)) == "private" else c,
+    )
+    without_cut, more_nodes = run_all()
+    assert without_cut == with_cut and more_nodes > nodes
 
 
 def test_repeat_runs_are_identical():
@@ -337,6 +420,29 @@ def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
         bad.write_text(edited)
         with pytest.raises(SearchError, match="not a valid extension path"):
             resume_search(str(bad))
+
+    # families the search never holds: a prefix that is not canonically
+    # labeled, which resumed to best 2 in two classes at n = 7, and a
+    # census whose second witness is its first with vertices 2 and 6
+    # swapped, which resumed to two classes
+    leg = tmp_path / "leg7.ckpt"
+    run_search(SearchConfig(n=7, target="enumerate", node_limit=3, checkpoint_path=str(leg)))
+    edited = re.sub(
+        r"(?s)\nprefix \d+\n.*\nwitnesses ", "\nprefix 2\n0 1 2 1\n1 2 3 1\nwitnesses ", leg.read_text()
+    )
+    assert "\nprefix 2\n0 1 2 1\n1 2 3 1\nwitnesses 1\n" in edited
+    bad.write_text(edited)
+    with pytest.raises(SearchError, match="prefix is not canonically labeled"):
+        resume_search(str(bad))
+    run_search(SearchConfig(n=7, target="enumerate", checkpoint_path=str(leg)))
+    (w,) = load_checkpoint(str(leg))["witnesses"]
+    swap = {2: 6, 6: 2}
+    twin = family_from_triangles(7, [sorted(swap.get(v, v) for v in t) for t in w.support])
+    assert twin.members != w.members and are_isomorphic(twin, w)
+    text7 = leg.read_text().replace("\nwitnesses 1\n", "\nwitnesses 2\n")
+    bad.write_text(text7 + "witness\n" + serialize_family(twin))
+    with pytest.raises(SearchError, match="witness 2 is not canonically labeled"):
+        resume_search(str(bad))
 
     # unreadable paths are search errors, not OSErrors
     for path in (tmp_path / "missing.ckpt", tmp_path):
