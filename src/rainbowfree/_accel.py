@@ -35,7 +35,10 @@ tested again, and only on the edges that meet it.
 The labeling DFS behind is_min_labeled and min_labeling prunes with the
 automorphisms it meets; is_min_labeled also starts from automorphisms
 its caller already knows and hands back those it holds on an accept, so
-a search seeds each child's walk with its parent's.
+a search seeds each child's walk with its parent's.  min_labeling can
+also compare its walk with a target code sequence (member_codes of
+another family's canonical image) and stop once the comparison is
+decided, which is how an isomorphism test needs only one full walk.
 """
 
 from __future__ import annotations
@@ -320,7 +323,7 @@ def _dive(mem, sup, r, lab, choice, level, vec, bpath, out_lab):
     return best
 
 
-def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
+def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None):
     """Walk labelings of the support, comparing sorted member codes to best.
 
     mem lists the member rows (a, b, c, m) ascending; the support is the
@@ -348,7 +351,19 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
     3. a complete labeling that ties best and comes before bpath in
        position order replaces bpath and out_lab, so they end as the first
        minimal labeling, whatever labeling the dives found.
-    Returns 0.
+    Returns 2 once the walk ends.
+
+    With stop=0 and a target, a sorted code sequence, the walk is the
+    same, but after each dive it compares best with the target.  best is
+    always the code sequence of a complete labeling and changes only at
+    dives, so the walk returns 1 as soon as best equals the target (a
+    labeling attains it), 0 as soon as best is below it (the minimum is
+    below it), and 2 when it ends with best above it (the minimum, best,
+    is above it).  out_lab then holds a labeling attaining best.  The
+    walk never runs longer than without the target: it keeps every dive
+    and every stored automorphism, since a walk cut at the target would
+    meet no tie with best, store no automorphism, and could take
+    exponentially longer.
 
     Automorphism pruning (McKay 1981; McKay and Piperno 2014): a leaf
     that ties best is the bpath labeling composed with an automorphism,
@@ -377,7 +392,9 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
     # when sup is 0..s-1, and then this path attains best
     bpath = list(range(s))
     if stop == 0:
-        best = _dive(mem, sup, r, lab, choice, 0, None, bpath, out_lab)
+        best = _dive(mem, sup, r, lab, choice, 0, [], bpath, out_lab)
+        if target is not None and best <= target:
+            return 1 if best == target else 0
     max_gens = 2 * s + 8
     gens: list[list[int]] = list(seed[:max_gens])
     # per level: orbit forest of the stored automorphisms fixing the
@@ -438,6 +455,8 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
                 if stop == 1:
                     return 1
                 best = _dive(mem, sup, r, lab, choice, level + 1, vec, bpath, out_lab)
+                if target is not None and best <= target:
+                    return 1 if best == target else 0
         elif level == s - 1:
             # a tie: store the automorphism carrying this path onto bpath
             d = 0
@@ -466,7 +485,17 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None):
             level += 1
     if gens_out is not None:
         gens_out[:] = gens
-    return 0
+    return 0 if stop else 2
+
+
+def member_codes(mem, n):
+    """The packed codes ((a*r + b)*r + c)*4 + m, r = n + 2, of member rows
+    (a, b, c, m), in row order: the sequence the labeling DFS compares.
+
+    Rows in ascending order give ascending codes.
+    """
+    r = n + 2
+    return [((a * r + b) * r + c) * 4 + m for a, b, c, m in mem]
 
 
 def is_min_labeled(mem, n, seed=(), gens_out=None):
@@ -482,19 +511,23 @@ def is_min_labeled(mem, n, seed=(), gens_out=None):
     seeds included, at most 2s + 8 for s support vertices) are written to
     gens_out when it is given.
     """
-    r = n + 2
-    best = [((a * r + b) * r + c) * 4 + m for a, b, c, m in mem]
-    return 1 - _label_dfs(mem, n, best, 1, None, seed, gens_out)
+    return 1 - _label_dfs(mem, n, member_codes(mem, n), 1, None, seed, gens_out)
 
 
-def min_labeling(mem, n, out_lab):
+def min_labeling(mem, n, out_lab, target=None):
     """Fill out_lab with the labeling minimizing the sorted code sequence.
 
     mem lists the member rows (a, b, c, m) ascending.  out_lab[v] is the
     new label of support vertex v, -1 for vertices outside the support.
     Of the labelings attaining the minimum it is the first in position
     order; the greedy dives that _label_dfs uses to reach the minimum
-    early do not change which one.
+    early do not change which one.  Returns 2.
+
+    With target, a sorted list of member codes (see member_codes), the
+    walk compares the minimum with it and stops once that is decided:
+    it returns 0 when the minimum is below the target, 1 when it equals
+    it, and 2 when it is above.  After a 0 or a 1, out_lab holds the
+    labeling whose codes decided it, not necessarily a minimal one.
     """
     out_lab[:] = [-1] * n
-    _label_dfs(mem, n, None, 0, out_lab)
+    return _label_dfs(mem, n, None, 0, out_lab, target=target)

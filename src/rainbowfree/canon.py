@@ -27,12 +27,27 @@ forms, maps and verdicts are exactly those of the unpruned search, and
 families with huge automorphism groups such as t_star(32) stay cheap.
 Support vertices always receive labels 0..s-1 in a canonical labeling;
 collapsing label gaps never increases the sequence.
+
+are_isomorphic runs at most one full walk.  It first compares an
+invariant, the sorted per-vertex counts of single and doubled members,
+and refuses a pair that differs there with no walk at all.  Then it
+labels the first family canonically and walks the second with the first
+one's canonical codes as a target: every dive ends at a complete
+labeling, so the walk stops with "isomorphic" once its best sequence
+equals the target and with "not isomorphic" once it drops below it, and
+a walk that ends above it has a larger minimum.  The target walk keeps
+every dive and automorphism of a plain walk, so it is never longer.
 """
 
 from __future__ import annotations
 
-from ._accel import is_min_labeled, min_labeling
-from .family import TriangleFamily, Triangle
+from ._accel import is_min_labeled, member_codes, min_labeling
+from .family import TriangleFamily
+
+
+def _rows(f: TriangleFamily) -> list[tuple[int, int, int, int]]:
+    """f's member rows (a, b, c, m), ascending: the labeling DFS's input."""
+    return [(*t, m) for t, m in sorted(f.members)]
 
 
 def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFamily]:
@@ -42,7 +57,7 @@ def canonical_relabeling(f: TriangleFamily) -> tuple[dict[int, int], TriangleFam
     remaining labels in ascending order.
     """
     lab: list[int] = []
-    min_labeling([(*t, m) for t, m in sorted(f.members)], f.n, lab)
+    min_labeling(_rows(f), f.n, lab)
     mapping = {v: l for v, l in enumerate(lab) if l >= 0}
     taken = set(mapping.values())
     spare = iter(l for l in range(f.n) if l not in taken)
@@ -70,17 +85,32 @@ def canonical_form(f: TriangleFamily) -> bytes:
 
 def is_canonical(f: TriangleFamily) -> bool:
     """Is f labeled canonically (identity relabeling is minimal)?"""
-    return bool(is_min_labeled([(*t, m) for t, m in sorted(f.members)], f.n))
+    return bool(is_min_labeled(_rows(f), f.n))
+
+
+def _degrees(f: TriangleFamily) -> list[list[int]]:
+    """Sorted [members of multiplicity 1, of multiplicity 2] on each
+    support vertex: an isomorphism invariant that ignores the mode."""
+    deg: dict[int, list[int]] = {}
+    for t, m in f.members:
+        for v in t:
+            deg.setdefault(v, [0, 0])[m - 1] += 1
+    return sorted(deg.values())
 
 
 def are_isomorphic(f1: TriangleFamily, f2: TriangleFamily) -> bool:
     """True iff some vertex bijection maps one member multiset to the other.
 
     Families with different n are never isomorphic (isolated vertices
-    count); mode labels are ignored.
+    count); mode labels are ignored.  Families whose degree rows (see
+    _degrees) differ are refused without a labeling walk.  Otherwise f1
+    is labeled canonically, and f2's labeling walk takes f1's canonical
+    codes as its target: it stops as soon as its best labeling reaches
+    them (isomorphic) or passes below them (not), and a walk that ends
+    above them means not isomorphic.
     """
-    if f1.n != f2.n:
+    if f1.n != f2.n or _degrees(f1) != _degrees(f2):
         return False
-    if sorted(m for _, m in f1.members) != sorted(m for _, m in f2.members):
-        return False
-    return canonical_form(f1) == canonical_form(f2)
+    _, g = canonical_relabeling(f1)
+    target = member_codes(_rows(g), g.n)
+    return min_labeling(_rows(f2), f2.n, [], target) == 1

@@ -129,18 +129,6 @@ class TriangleFamily:
             verts.update(t)
         return tuple(sorted(verts))
 
-    def normalized(self) -> "TriangleFamily":
-        """Same family with members sorted lexicographically by triangle."""
-        return TriangleFamily(self.n, tuple(sorted(self.members)), self.mode)
-
-    def same_family(self, other: "TriangleFamily") -> bool:
-        """Equality up to member order (n, mode, and multiset of members)."""
-        return (
-            self.n == other.n
-            and self.mode == other.mode
-            and sorted(self.members) == sorted(other.members)
-        )
-
 
 def family_from_triangles(
     n: int,
@@ -245,9 +233,6 @@ class UnionGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.owners))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.owners
 
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")

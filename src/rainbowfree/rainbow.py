@@ -15,7 +15,6 @@ from .family import (
     MemberRef,
     Triangle,
     TriangleFamily,
-    edge,
     triangle_edges,
 )
 
@@ -106,14 +105,21 @@ def has_rainbow(f: TriangleFamily) -> bool:
     return find_rainbow(f) is not None
 
 
+def _is_pair(x: object) -> bool:
+    return isinstance(x, tuple) and len(x) == 2
+
+
 def verify_certificate(f: TriangleFamily, c: RainbowCertificate) -> bool:
     """Check a certificate against f; never raises, returns False on any defect.
 
-    Valid iff: the triple is three ascending in-range vertices, the three
-    assignment edges are exactly the triple's edges in ascending order, the
-    assigned member copies exist, are pairwise distinct, and each contains
-    its assigned edge.
+    Valid iff: every assignment entry is an (edge, (index, copy)) pair,
+    the triple is three ascending in-range vertices, the three assignment
+    edges are exactly the triple's edges in ascending order, the assigned
+    member copies exist, are pairwise distinct, and each contains its
+    assigned edge.
     """
+    if not all(_is_pair(entry) and _is_pair(entry[1]) for entry in c.assignment):
+        return False
     t = c.triple
     if len(t) != 3 or not (0 <= t[0] < t[1] < t[2] < f.n):
         return False

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
+from rainbowfree._accel import member_codes, min_labeling
 from rainbowfree.canon import (
+    _degrees,
+    _rows,
     are_isomorphic,
     canonical_form,
     canonical_relabeling,
     is_canonical,
 )
 from rainbowfree.cli import OK, main
+from rainbowfree.constructions import is_tstar_family, t_star
 from rainbowfree.family import (
     MULTISET,
     SET,
@@ -46,10 +51,10 @@ def test_canonical_relabeling_fixed_point():
         f = random_family(rng, rng.randint(3, 8), 6, MULTISET)
         mapping, g = canonical_relabeling(f)
         assert set(mapping) == set(range(f.n))
-        assert _permuted(f, [mapping[v] for v in range(f.n)]).same_family(g)
+        assert sorted(_permuted(f, [mapping[v] for v in range(f.n)]).members) == list(g.members)
         assert is_canonical(g)
         again, h = canonical_relabeling(g)
-        assert h.same_family(g)
+        assert h == g
         assert canonical_form(g) == canonical_form(f)
 
 
@@ -114,3 +119,91 @@ def test_member_less_family(tmp_path, capsys):
     path.write_text(serialize_family(f))
     assert main(["canon", str(path)]) == OK
     assert capsys.readouterr().out == serialize_family(f)
+
+
+def _screened_pairs(seed):
+    """Pairs of random families on the same n whose degree rows agree, so
+    that are_isomorphic decides them by its labeling walks."""
+    rng = random.Random(seed)
+    buckets = defaultdict(list)
+    for _ in range(600):
+        n = rng.randint(4, 7)
+        f = random_family(rng, n, 6, rng.choice((SET, MULTISET)))
+        if f.members:
+            buckets[n, tuple(map(tuple, _degrees(f)))].append(f)
+    return [pair for fams in buckets.values() for pair in zip(fams, fams[1:])]
+
+
+def _canonical_codes(f):
+    _, g = canonical_relabeling(f)
+    return member_codes(_rows(g), g.n)
+
+
+def test_screened_pairs_match_brute_force():
+    pos = neg = 0
+    for f, g in _screened_pairs(912):
+        want = brute_are_isomorphic(f, g)
+        assert are_isomorphic(f, g) == want
+        assert are_isomorphic(g, f) == want
+        pos += want
+        neg += not want
+    assert pos > 20 and neg > 20  # both answers come from the walks
+
+
+def test_target_walk_compares_the_minimum_with_the_target():
+    # 0, 1, 2: the walk's minimum is below, equal to or above the target
+    seen = set()
+    for f, g in _screened_pairs(913):
+        for a, b in ((f, g), (g, f)):
+            target = _canonical_codes(a)
+            mine = _canonical_codes(b)
+            lab: list[int] = []
+            got = min_labeling(_rows(b), b.n, lab, target)
+            assert got == (mine > target) - (mine < target) + 1
+            # the labeling left in lab has the codes that decided the walk
+            image = sorted((tuple(sorted(lab[v] for v in t)), m) for t, m in b.members)
+            codes = member_codes([(*t, m) for t, m in image], b.n)
+            if got == 1:
+                assert codes == target
+            elif got == 0:
+                assert codes < target
+            else:
+                assert codes == mine
+            seen.add(got)
+    assert seen == {0, 1, 2}
+
+
+def test_are_isomorphic_agrees_with_canonical_forms():
+    rng = random.Random(914)
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        mode = rng.choice((SET, MULTISET))
+        f = random_family(rng, n, 7, mode)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for g in (random_family(rng, n, 7, mode), _permuted(f, perm)):
+            assert are_isomorphic(f, g) == (canonical_form(f) == canonical_form(g))
+
+
+def _rewired(n):
+    """t_star(n)'s pairs (2i, 2i+1) on the first half of its apexes, and
+    the pairs (4j, 4j+2), (4j+1, 4j+3) on the second half (8 divides n)."""
+    h, q = n // 2, n // 4
+    tris = [(2 * i, 2 * i + 1, a) for i in range(q) for a in range(h, h + q)]
+    pairs = [p for j in range(n // 8) for p in ((4 * j, 4 * j + 2), (4 * j + 1, 4 * j + 3))]
+    tris += [(u, v, a) for u, v in pairs for a in range(h + q, n)]
+    return family_from_triangles(n, tris)
+
+
+def test_rewired_tstar_is_refused_in_both_orders():
+    # same degree rows as t_star, so only the walks can tell them apart
+    rng = random.Random(915)
+    perm = list(range(16))
+    rng.shuffle(perm)
+    t = _permuted(t_star(16), perm)
+    r = _rewired(16)
+    assert _degrees(r) == _degrees(t) and not is_tstar_family(r)
+    assert not are_isomorphic(t, r)
+    assert not are_isomorphic(r, t)
+    rng.shuffle(perm)
+    assert are_isomorphic(r, _permuted(r, perm))

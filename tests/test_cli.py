@@ -138,7 +138,7 @@ def test_check_rainbow_past_63_vertices(tmp_path, capsys):
 def test_construct_tstar(capsys):
     code, out, _ = run_cli(capsys, ["construct", "tstar", "--n", "8"])
     assert code == OK
-    assert parse_family(out).same_family(t_star(8))
+    assert out == serialize_family(t_star(8))
     code, _, err = run_cli(capsys, ["construct", "tstar", "--n", "6"])
     assert code == USAGE and "n % 4" in err
     code, _, err = run_cli(capsys, ["construct", "tstar"])
@@ -149,7 +149,7 @@ def test_construct_pairs(capsys):
     argv = ["construct", "pairs", "--n", "7", "--pairs", "2", "--apexes", "3"]
     code, out, _ = run_cli(capsys, argv)
     assert code == OK
-    assert parse_family(out).same_family(pair_family(7, 2, 3))
+    assert out == serialize_family(pair_family(7, 2, 3))
     code, _, err = run_cli(capsys, ["construct", "pairs", "--n", "7", "--pairs", "2"])
     assert code == USAGE and "--apexes" in err
 
@@ -157,7 +157,7 @@ def test_construct_pairs(capsys):
 def test_construct_fig5(capsys):
     code, out, _ = run_cli(capsys, ["construct", "fig5"])
     assert code == OK
-    assert parse_family(out).same_family(doubled_nine())
+    assert out == serialize_family(doubled_nine())
 
 
 def test_construct_double(tmp_path, capsys, monkeypatch):
@@ -165,14 +165,14 @@ def test_construct_double(tmp_path, capsys, monkeypatch):
     path = save(tmp_path, "src.trifam", src)
     code, out, _ = run_cli(capsys, ["construct", "double", path])
     assert code == OK
-    assert parse_family(out).same_family(double(src))
+    assert out == serialize_family(double(src))
     code, out, _ = run_cli(
         capsys,
         ["construct", "double"],
         stdin=serialize_family(src),
         monkeypatch=monkeypatch,
     )
-    assert code == OK and parse_family(out).same_family(double(src))
+    assert code == OK and out == serialize_family(double(src))
 
 
 def test_construct_rejects_stray_file(tmp_path, capsys):
@@ -721,7 +721,7 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == OK
-    assert parse_family(proc.stdout).same_family(t_star(4))
+    assert proc.stdout == serialize_family(t_star(4))
     proc = subprocess.run(
         [sys.executable, "-m", "rainbowfree.cli", "check", "-"],
         input=proc.stdout,

@@ -73,15 +73,6 @@ def test_isolated_vertices_are_legal():
     assert f.support_vertices() == (0, 1, 2)
 
 
-def test_normalized_and_same_family():
-    a = family_from_triangles(5, [(2, 3, 4), (0, 1, 2)])
-    b = family_from_triangles(5, [(0, 1, 2), (2, 3, 4)])
-    assert a.members != b.members
-    assert a.normalized().members == b.members
-    assert a.same_family(b)
-    assert not a.same_family(family_from_triangles(6, [(0, 1, 2), (2, 3, 4)]))
-
-
 def test_parse_round_trip_seeded():
     rng = random.Random(1207)
     for _ in range(200):
@@ -89,8 +80,9 @@ def test_parse_round_trip_seeded():
         mode = rng.choice((SET, MULTISET))
         f = random_family(rng, n, 8, mode)
         g = parse_family(serialize_family(f))
-        assert g.same_family(f)
-        assert serialize_family(g) == serialize_family(f.normalized())
+        # parsing keeps the serialized order, which sorts the members
+        assert g == TriangleFamily(f.n, tuple(sorted(f.members)), f.mode)
+        assert serialize_family(g) == serialize_family(f)
 
 
 def test_parse_comments_blanks_and_x1():
@@ -160,7 +152,7 @@ def test_union_graph_owners_and_degrees():
     assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
     assert g.owners[(0, 1)] == ((0, 0), (1, 0), (1, 1))
     assert g.owners[(0, 2)] == ((0, 0),)
-    assert g.has_edge(1, 0) and not g.has_edge(2, 3)
+    assert (0, 1) in g.owners and (2, 3) not in g.owners
     assert g.degree(0) == 3 and g.degree(4) == 0
 
 
@@ -172,4 +164,4 @@ def test_union_graph_adj_matches_edges():
         for u in range(f.n):
             for v in range(f.n):
                 bit = bool(g.adj[u] >> v & 1)
-                assert bit == (u != v and g.has_edge(u, v))
+                assert bit == ((min(u, v), max(u, v)) in g.owners)

@@ -81,6 +81,9 @@ def test_verify_certificate_refuses_each_defect():
         "member index negative": ((0, 1, 2), (e01, e02, ((1, 2), (-1, 0)))),
         "copy beyond the multiplicity": ((0, 1, 2), (e01, e02, ((1, 2), (3, 2)))),
         "member lacks its edge": ((0, 1, 2), (((0, 1), (3, 1)), e02, e12)),
+        "an entry that is a triple": ((0, 1, 2), ((0, 1, 2),)),
+        "a last entry that is a triple": ((0, 1, 2), (e01, e02, (0, 1, 2))),
+        "an owner of three numbers": ((0, 1, 2), (e01, e02, ((1, 2), (3, 0, 0)))),
     }
     for name, (triple, assignment) in defects.items():
         assert not verify_certificate(f, RainbowCertificate(triple, assignment)), name
