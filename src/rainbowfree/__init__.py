@@ -31,7 +31,7 @@ _EXPORTS: dict[str, tuple[str, ...]] = {
     ),
     "family": (
         "MULTISET", "SET", "Edge", "MemberRef", "Triangle", "TriangleFamily",
-        "TrifamError", "UnionGraph", "edge", "family_from_triangles", "parse_family",
+        "TrifamError", "UnionGraph", "family_from_triangles", "parse_family",
         "serialize_family", "triangle", "triangle_edges", "union_graph",
     ),
     "rainbow": (

@@ -32,8 +32,10 @@ C(n,3) pool.  A search child's list is derived from its parent's: only
 the triangles that still extend the parent and meet the new member are
 tested again, and only on the edges that meet it.
 
-The labeling DFS behind is_min_labeled and min_labeling prunes with the
-automorphisms it meets; is_min_labeled also starts from automorphisms
+The labeling DFS behind is_min_labeled and min_labeling gives each label
+only to the frontier, the unlabeled vertices of the members whose code
+bound is least (see _bounds), and prunes with the automorphisms it
+meets; is_min_labeled also starts from automorphisms
 its caller already knows and hands back those it holds on an accept, so
 a search seeds each child's walk with its parent's.  min_labeling can
 also compare its walk with a target code sequence (member_codes of
@@ -251,8 +253,10 @@ def _orbit_root(par, x):
 
 
 def _bounds(mem, lab, nass, r):
-    """The sorted per-member code bounds, and the least bound of an
-    undetermined member (_INF when every member is determined).
+    """The sorted per-member code bounds, the least bound lb of an
+    undetermined member (_INF when every member is determined), and the
+    frontier: the bitmask of the unlabeled vertices of the undetermined
+    members whose bound is lb.
 
     mem lists the members as (a, b, c, m).  A member whose three vertices
     are labeled has its exact code.  The others give their unlabeled
@@ -261,8 +265,22 @@ def _bounds(mem, lab, nass, r):
     any completion.  Sorting keeps that componentwise, so the bounds are
     at most the final sorted code sequence of every completion, and the
     entries below the returned bound are final.
+
+    The frontier is where the next label, nass, must go.  A bound depends
+    only on the member's labels and on how many of its vertices are
+    unlabeled, so nass on one of a member's unlabeled vertices keeps its
+    bound and nass anywhere else raises it.  Every completion shares the
+    entries below lb.  Giving nass to a frontier vertex, and the next
+    labels to the other unlabeled vertices of its member, yields a
+    completion whose next entry is lb.  Giving nass off the frontier
+    raises every member of bound lb, so the next entry of each such
+    completion is above lb: it is strictly above a completion through the
+    frontier, so neither minimal nor tied with a minimal one.  mem may
+    hold vertices or support positions; the frontier's bits index the
+    same.
     """
     lb = _INF
+    front = 0
     vec = []
     for a, b, c, m in mem:
         fresh = nass
@@ -286,41 +304,55 @@ def _bounds(mem, lab, nass, r):
                 x0, x1 = x1, x0
         code = ((x0 * r + x1) * r + x2) * 4 + m
         vec.append(code)
-        if fresh > nass and code < lb:
-            lb = code
+        if fresh > nass and code <= lb:
+            free = 0
+            if lab[a] < 0:
+                free = 1 << a
+            if lab[b] < 0:
+                free |= 1 << b
+            if lab[c] < 0:
+                free |= 1 << c
+            if code < lb:
+                lb = code
+                front = free
+            else:
+                front |= free
     vec.sort()
-    return vec, lb
+    return vec, lb, front
 
 
-def _dive(mem, sup, r, lab, choice, level, vec, bpath, out_lab):
-    """Complete a partial labeling greedily; return its codes.
+def _dive(mem, r, lab, choice, level, vec, front, bpath):
+    """Complete a partial labeling greedily; return its codes and its
+    labels by position.
 
-    lab holds labels 0..level-1, on positions choice[0..level-1]; when
-    level is s the labeling is complete and vec holds its codes.  Each
-    further label goes to the unused position whose sorted bound vector
-    is lexicographically least, the first such position on ties.  The
-    complete labeling's path (position by label) goes to bpath and its
-    labels to out_lab; lab is left unchanged.
+    lab holds labels 0..level-1, on positions choice[0..level-1], and
+    front is its frontier (see _bounds); when level is s the labeling is
+    complete and vec holds its codes.  Each further label goes to the
+    frontier position whose sorted bound vector is lexicographically
+    least, the first such position on ties: a position off the frontier
+    has a larger vector, so it would never be picked.  The complete
+    labeling's path (position by label) goes to bpath; lab is left
+    unchanged.
     """
-    s = len(sup)
-    out_lab[:] = lab
+    s = len(lab)
+    cur = lab[:]
     bpath[:level] = choice[:level]
     best = vec
     for l in range(level, s):
         pick = -1
-        for c in range(s):
-            v = sup[c]
-            if out_lab[v] >= 0:
-                continue
-            out_lab[v] = l
-            cand, _ = _bounds(mem, out_lab, l + 1, r)
-            out_lab[v] = -1
+        while front:
+            low = front & -front
+            front ^= low
+            c = low.bit_length() - 1
+            cur[c] = l
+            cand, _, f = _bounds(mem, cur, l + 1, r)
+            cur[c] = -1
             if pick < 0 or cand < best:
-                best = cand
-                pick = c
-        out_lab[sup[pick]] = l
+                best, pick, nxt = cand, c, f
+        cur[pick] = l
         bpath[l] = pick
-    return best
+        front = nxt
+    return best, cur
 
 
 def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None):
@@ -333,6 +365,18 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     support position in turn, then label 1, ...).  A branch is cut as
     soon as its sorted bound vector (see _bounds) is lexicographically
     above best, which every completion then is too.
+
+    Label l goes only to the frontier that _bounds returns at the node:
+    the unlabeled positions of the undetermined members of least bound
+    (the search tree of McKay and Piperno 2014 likewise branches only on
+    the vertices of one target cell).  As _bounds shows, every completion
+    through another child is strictly above some completion through the
+    frontier, so it is neither minimal nor tied with a minimal labeling,
+    and the frontier's children keep their position order.  Hence the
+    first minimal labeling, the verdict of stop=1 and, when that verdict
+    accepts, the automorphisms it stores (each from a leaf tying the
+    identity, which is then minimal) are exactly those of a walk over
+    every child; only the other children's subtrees are no longer walked.
 
     With stop=1, best holds the identity's codes, and the walk returns 1
     at the first node whose final codes are certain to end strictly below
@@ -374,8 +418,10 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     part.  Each skipped subtree is the image of an explored one under an
     automorphism fixing the prefix, so it has the same code sequences at
     every node and comes later in position order: it can only tie, and
-    ties keep the earlier labeling.  best, out_lab and the return value
-    are therefore the same as without pruning.
+    ties keep the earlier labeling.  Such an automorphism maps the
+    frontier onto itself, so the smaller position of the orbit is on it
+    too.  best, out_lab and the return value are therefore the same as
+    without pruning.
 
     The argument holds for any automorphisms, so the stored list starts
     from seed, automorphisms known in advance as permutations of support
@@ -384,15 +430,26 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     """
     sup = sorted({v for a, b, c, _ in mem for v in (a, b, c)})
     s = len(sup)
+    pos = {v: i for i, v in enumerate(sup)}
+    # the rows on positions: a labeling's codes read only its labels
+    mem = [(pos[a], pos[b], pos[c], m) for a, b, c, m in mem]
     r = n + 2  # exceeds every label, including the fresh ones
-    lab = [-1] * n
-    used = [False] * s
+    lab = [-1] * s
     choice = [-1] * s
+    # front[l]: the frontier of the node whose labels 0..l-1 are choice[:l]
+    front = [0] * (s + 1)
+    front[0] = _bounds(mem, lab, 0, r)[2]
+
+    def emit(labels):
+        for i, v in enumerate(sup):
+            out_lab[v] = labels[i]
+
     # with stop=1 the seed path is the identity, which a leaf can only tie
     # when sup is 0..s-1, and then this path attains best
     bpath = list(range(s))
     if stop == 0:
-        best = _dive(mem, sup, r, lab, choice, 0, [], bpath, out_lab)
+        best, cur = _dive(mem, r, lab, choice, 0, [], front[0], bpath)
+        emit(cur)
         if target is not None and best <= target:
             return 1 if best == target else 0
     max_gens = 2 * s + 8
@@ -405,46 +462,48 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     while level >= 0:
         prev = choice[level]
         if prev >= 0:
-            used[prev] = False
-            lab[sup[prev]] = -1
+            lab[prev] = -1
+            rest = front[level] >> (prev + 1) << (prev + 1)
         else:
             seen[level] = -1  # new prefix
-        c = prev + 1
-        while c < s:
-            if not used[c]:
-                if not gens:
-                    break
-                if seen[level] < 0:
-                    par[level] = list(range(s))
-                    seen[level] = 0
-                orb = par[level]
-                for g in gens[seen[level] :]:
-                    for j in range(level):
-                        if g[choice[j]] != choice[j]:
-                            break
-                    else:
-                        # g fixes the prefix: merge its orbits
-                        for i in range(s):
-                            if g[i] == i:
-                                continue
-                            ra = _orbit_root(orb, i)
-                            rb = _orbit_root(orb, g[i])
-                            if ra < rb:
-                                orb[rb] = ra
-                            elif rb < ra:
-                                orb[ra] = rb
-                seen[level] = len(gens)
-                if _orbit_root(orb, c) == c:
-                    break
-            c += 1
-        if c >= s:
+            rest = front[level]
+        c = -1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            if not gens:
+                break
+            if seen[level] < 0:
+                par[level] = list(range(s))
+                seen[level] = 0
+            orb = par[level]
+            for g in gens[seen[level] :]:
+                for j in range(level):
+                    if g[choice[j]] != choice[j]:
+                        break
+                else:
+                    # g fixes the prefix: merge its orbits
+                    for i in range(s):
+                        if g[i] == i:
+                            continue
+                        ra = _orbit_root(orb, i)
+                        rb = _orbit_root(orb, g[i])
+                        if ra < rb:
+                            orb[rb] = ra
+                        elif rb < ra:
+                            orb[ra] = rb
+            seen[level] = len(gens)
+            if _orbit_root(orb, c) == c:
+                break
+            c = -1
+        if c < 0:
             choice[level] = -1
             level -= 1
             continue
         choice[level] = c
-        used[c] = True
-        lab[sup[c]] = level
-        vec, lb = _bounds(mem, lab, level + 1, r)
+        lab[c] = level
+        vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
         if vec != best:
             if vec > best:
                 continue  # every completion is above best: next sibling
@@ -454,7 +513,8 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
             if vec[:p] != best[:p]:
                 if stop == 1:
                     return 1
-                best = _dive(mem, sup, r, lab, choice, level + 1, vec, bpath, out_lab)
+                best, cur = _dive(mem, r, lab, choice, level + 1, vec, front[level + 1], bpath)
+                emit(cur)
                 if target is not None and best <= target:
                     return 1 if best == target else 0
         elif level == s - 1:
@@ -471,13 +531,12 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
                 gens.append(g)
             if choice[d] < bpath[d]:
                 # this labeling comes first in position order
-                out_lab[:] = lab
+                emit(lab)
                 bpath[:] = choice
             else:
                 # jump back to where the two paths part
                 while level > d:
-                    used[choice[level]] = False
-                    lab[sup[choice[level]]] = -1
+                    lab[choice[level]] = -1
                     choice[level] = -1
                     level -= 1
             continue

@@ -18,6 +18,17 @@ and a labeling that ties the best one and comes earlier in position order
 takes its place.  The dives only decide how soon the minimum is known:
 the map is still the first minimal labeling in position order, so it
 does not depend on them.
+The DFS and the dives give the next label only to the frontier: the
+unlabeled vertices of the members whose code bound is least among the
+members not yet fully labeled.  A bound depends only on a member's labels
+and on how many of its vertices are unlabeled, so the next label keeps
+the bound of each member it lands in and raises every other one.  Placed
+off the frontier, it raises every least-bound member, and each
+completion of that child is strictly above a completion through the
+frontier.  So no minimal labeling, and none tying a minimal one, lies off
+the frontier: maps and verdicts are unchanged, and so are the
+automorphisms a canonicity walk stores, since each comes from a leaf that
+ties the identity when the identity is minimal.
 A labeling that ties the best one found so far exposes an automorphism;
 the DFS stores it and skips every later sibling choice lying in the orbit
 of an explored one, under the stored automorphisms that fix the labels

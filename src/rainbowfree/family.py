@@ -50,12 +50,6 @@ def check_vertex_limit(n: int) -> None:
         raise VertexLimitError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
 
 
-def edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise TrifamError(f"degenerate edge ({u}, {v})")
-    return (u, v) if u < v else (v, u)
-
-
 def triangle(a: int, b: int, c: int) -> Triangle:
     t = tuple(sorted((a, b, c)))
     if t[0] == t[1] or t[1] == t[2]:

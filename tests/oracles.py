@@ -68,6 +68,30 @@ def brute_are_isomorphic(f: TriangleFamily, g: TriangleFamily) -> bool:
     return False
 
 
+def brute_child_minima(rows, lab) -> dict[int, list[tuple[int, int, int, int]]]:
+    """The least completion below each child of a partial labeling.
+
+    rows lists members as (a, b, c, m); lab gives labels 0..l-1 to some
+    support vertices and -1 to the rest.  A completion gives the unlabeled
+    support vertices the labels l..s-1; its sequence is the sorted member
+    rows (x, y, z, m) with x < y < z its labels.  Returns, for each
+    unlabeled support vertex v, the least sequence over the completions
+    that give v the label l, by trying every completion.
+    """
+    sup = sorted({v for row in rows for v in row[:3]})
+    free = [v for v in sup if lab[v] < 0]
+    l = len(sup) - len(free)
+    best: dict[int, list[tuple[int, int, int, int]]] = {}
+    for labels in itertools.permutations(range(l, len(sup))):
+        full = {v: lab[v] for v in sup}
+        full.update(zip(free, labels))
+        seq = sorted((*sorted(full[v] for v in (a, b, c)), m) for a, b, c, m in rows)
+        v = free[labels.index(l)]
+        if v not in best or seq < best[v]:
+            best[v] = seq
+    return best
+
+
 def brute_max_independent_sets(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All maximum independent sets of a small graph, lex sorted."""
     best: list[tuple[int, ...]] = []

@@ -11,7 +11,6 @@ from rainbowfree.family import (
     SET,
     TriangleFamily,
     TrifamError,
-    edge,
     family_from_triangles,
     parse_family,
     serialize_family,
@@ -24,14 +23,11 @@ from oracles import random_family
 
 
 def test_edge_and_triangle_normalize_order():
-    assert edge(3, 1) == (1, 3)
     assert triangle(5, 0, 2) == (0, 2, 5)
     assert triangle_edges((0, 2, 5)) == ((0, 2), (0, 5), (2, 5))
 
 
 def test_edge_rejects_loops():
-    with pytest.raises(TrifamError):
-        edge(2, 2)
     with pytest.raises(TrifamError):
         triangle(1, 1, 4)
 

@@ -7,13 +7,14 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+from bisect import bisect_left
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowfree._accel import is_min_labeled
+from rainbowfree._accel import _bounds, is_min_labeled, member_codes
 from rainbowfree.canon import (
     are_isomorphic,
     canonical_form,
@@ -32,6 +33,8 @@ from rainbowfree.family import (
 )
 from rainbowfree.rainbow import find_rainbow, verify_certificate
 from rainbowfree.search import SearchConfig, SearchError, resume_search, run_search
+
+from oracles import brute_child_minima
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -153,6 +156,36 @@ def test_seeded_canonicity_walks_keep_the_verdict(f, rnd):
             assert all(h in auts for h in gens)
             if want:
                 assert all(h in gens for h in s)
+
+
+@PROPERTY
+@given(st.integers(3, 7).flatmap(families), st.randoms(use_true_random=False))
+def test_frontier_children_hold_every_minimal_completion(f, rnd):
+    # the labeling DFS gives label l only to the frontier _bounds returns:
+    # a child on it reaches the node's final codes followed by the least
+    # bound lb, and every child off it is strictly above that, so the
+    # least completion is on the frontier and none off it ties it
+    rows = sorted((*t, m) for t, m in f.members)
+    sup = sorted({v for t, _ in f.members for v in t})
+    if not sup:
+        return
+    l = rnd.randrange(len(sup))
+    lab = [-1] * f.n
+    for i, v in enumerate(rnd.sample(sup, l)):
+        lab[v] = i
+    vec, lb, front = _bounds(rows, lab, l, f.n + 2)
+    p = bisect_left(vec, lb)
+    child = brute_child_minima(rows, lab)
+    on = {v for v in child if front >> v & 1}
+    assert front == sum(1 << v for v in on)
+    least = min(child.values())
+    assert on and min(child[v] for v in on) == least
+    for v, seq in child.items():
+        codes = member_codes(seq, f.n)
+        assert codes[:p] == vec[:p]
+        assert (codes[p] == lb) == (v in on)
+        if v not in on:
+            assert all(seq > child[u] for u in on)
 
 
 same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), families(n)))
