@@ -96,7 +96,6 @@ class IndependentWitness:
 
     b: Vertex
     i_b: tuple[Vertex, ...]
-    contributor: dict[Vertex, MemberRef]
 
 
 @dataclass(frozen=True)
@@ -307,7 +306,7 @@ def build_witness(
                 f"witness for {b} not independent: edge ({u},{v}) between "
                 f"picks of {tu} and {tv}"
             )
-    return IndependentWitness(b, i_b, picks)
+    return IndependentWitness(b, i_b)
 
 
 def check_master_chain(

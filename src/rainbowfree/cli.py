@@ -274,16 +274,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         result = run_search(_search_config(args))
 
     lines = []
-    if result.target != PROVE or result.found:
-        # without a witness, best depends on the cuts and is no maximum
+    if result.witnesses:
+        # best is the witnesses' size, so a proof without a witness has none
         lines.append(_kv(args, "best", result.best_size))
     if result.target == PROVE:
-        if result.found:
-            status = "found"
-        elif result.completed:
-            status = "refuted"
-        else:
-            status = "undecided"
+        status = {True: "found", False: "refuted", None: "undecided"}[result.found]
         lines.append(_kv(args, "witness", status))
     if result.extremal_class_count is not None:
         lines.append(_kv(args, "classes", result.extremal_class_count))

@@ -37,13 +37,12 @@ walk's verdict unchanged, so they change its speed only. Nodes replayed
 from a checkpoint have no walk and hand their children none, so resumed
 runs make the same canonicity calls as one uninterrupted run.
 
-Targets share one engine. maximize and enumerate collect every canonical
-family of the best size reached (pruning only cuts branches that cannot
-tie the best). prove stops at the first family of the requested size in
-depth-first order. A proof that found no witness, refuted or undecided,
-still sets best_size to the largest family it met, but that value means
-nothing: like the node count, it depends on the cuts, and it is no
-maximum.
+Targets share one engine, and its witnesses are its only record of what
+it found. maximize and enumerate collect every canonical family of the
+best size reached (pruning only cuts branches that cannot tie the best).
+prove stops at the first family of the requested size in depth-first
+order and keeps that family alone; its cuts read the requested size, so
+it tracks no best.
 """
 
 from __future__ import annotations
@@ -131,21 +130,31 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """What a search or a resumed checkpoint found.
-
-    best_size is the maximum for maximize and enumerate, and the witness
-    size for a proof that found one.  For a proof without a witness
-    (found False or None) it means nothing: it is the largest family the
-    walk met, which depends on the cuts.
-    """
+    """What a search or a resumed checkpoint found: for maximize and
+    enumerate every canonical family of the maximum size, for prove the
+    witness it found, if any.  The other facts are read from these."""
 
     target: str
-    best_size: int
     witnesses: tuple[TriangleFamily, ...]
-    extremal_class_count: int | None
     nodes_explored: int
     completed: bool
-    found: bool | None = None
+
+    @property
+    def best_size(self) -> int:
+        """The witnesses' size; -1 for a proof without a witness."""
+        return self.witnesses[0].size if self.witnesses else -1
+
+    @property
+    def found(self) -> bool | None:
+        """For prove, whether it found a witness, or None if cut short."""
+        if self.target != PROVE or not (self.witnesses or self.completed):
+            return None
+        return bool(self.witnesses)
+
+    @property
+    def extremal_class_count(self) -> int | None:
+        """For enumerate, the number of isomorphism classes; else None."""
+        return len(self.witnesses) if self.target == ENUMERATE else None
 
 
 def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
@@ -194,9 +203,9 @@ class _Searcher:
         self.stack: list[tuple[int, int]] = []
         self.size = 0
         self.nodes = 0
+        # the best size reached, for maximize and enumerate only
         self.best = -1
         self.witnesses: list[TriangleFamily] = []
-        self.found_witness: TriangleFamily | None = None
         self.completed = True
         self._bufs: list[list[int]] = []
         # automorphisms of the node at each depth, as maps of its support
@@ -252,10 +261,11 @@ class _Searcher:
     # -- bookkeeping at a node
 
     def _record(self) -> None:
-        if self.cfg.target == PROVE and self.size >= self.cfg.prove_k:
-            self.found_witness = self._snapshot()
-            raise _ProofFound
-        if self.size > self.best:
+        if self.cfg.target == PROVE:
+            if self.size >= self.cfg.prove_k:
+                self.witnesses = [self._snapshot()]
+                raise _ProofFound
+        elif self.size > self.best:
             self.best = self.size
             self.witnesses = [self._snapshot()]
         elif self.size == self.best:
@@ -424,16 +434,16 @@ class _Searcher:
     def _write_checkpoint(self, done: bool) -> None:
         path = self.cfg.checkpoint_path
         assert path is not None
-        cfg = self.cfg
-        found = self.found_witness
+        cfg, witnesses = self.cfg, self.witnesses
+        found = cfg.target == PROVE and bool(witnesses)
+        best = witnesses[0].size if witnesses else -1
         header = (cfg.n, cfg.mode, cfg.target, cfg.prove_k)
-        header += (int(done), int(found is not None), self.nodes, self.best)
+        header += (int(done), int(found), self.nodes, best)
         lines = [_CKPT_MAGIC, *(f"{k} {v}" for k, v in zip(_CKPT_KEYS, header))]
         lines.append(f"prefix {len(self.stack)}")
         lines += [f"{a} {b} {c} {m}" for a, b, c, m in self._rows()]
-        blocks = self.witnesses if found is None else [found]
-        lines.append(f"witnesses {len(blocks)}")
-        for family in blocks:
+        lines.append(f"witnesses {len(witnesses)}")
+        for family in witnesses:
             lines.append("witness")
             lines.append(serialize_family(family).rstrip("\n"))
         _write_checkpoint_file(path, "\n".join(lines) + "\n")
@@ -480,8 +490,11 @@ def load_checkpoint(path: str) -> dict:
     "witnesses W" and W TRIFAM blocks, each after a "witness" line.
 
     The header must be a valid search configuration and agree with the
-    stored witnesses: each is on its n and mode, and without a found
-    proof, best is the size of the largest witness.
+    stored witnesses: each is on its n and mode, all have one size, and
+    best is that size, or -1 for a proof without a witness.  Files
+    written while a proof still tracked the largest families it met are
+    read too: a found proof takes best from its witness, and the families
+    stored by an unfinished or refuted one are checked, then dropped.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -540,13 +553,21 @@ def load_checkpoint(path: str) -> dict:
             )
     if {state["done"], state["found"]} - {0, 1} or state["nodes"] < 0:
         raise SearchError(f"{path}: done and found must be 0 or 1, nodes >= 0")
-    sizes = [w.size for w in witnesses]
+    sizes = {w.size for w in witnesses}
+    if len(sizes) > 1:
+        raise SearchError(f"{path}: stored witnesses differ in size {sorted(sizes)}")
+    proof = state["target"] == PROVE
     if state["found"]:
         # a found proof is always written as a done prove checkpoint
-        if not state["done"] or state["target"] != PROVE or len(sizes) != 1:
+        if not state["done"] or not proof or len(witnesses) != 1:
             raise SearchError(f"{path}: found-flag set outside a finished proof")
-    elif state["best"] != max(sizes, default=None):
+        # an older file holds the largest family met before the witness
+        state["best"] = witnesses[0].size
+    elif state["best"] != max(sizes, default=-1 if proof else None):
         raise SearchError(f"{path}: best {state['best']} does not match the stored witnesses")
+    elif proof:
+        # an older unfinished or refuted proof stored the largest families it met
+        witnesses, state["best"] = [], -1
     state.update(
         done=bool(state["done"]),
         found=bool(state["found"]),
@@ -557,28 +578,11 @@ def load_checkpoint(path: str) -> dict:
 
 
 def _finish(s: _Searcher) -> SearchResult:
-    cfg = s.cfg
-    best = max((f.size for f in s.witnesses), default=0)
-    found: bool | None = None
-    if cfg.target == PROVE:
-        witnesses: tuple[TriangleFamily, ...] = ()
-        if s.found_witness is not None:
-            witnesses = (s.found_witness,)
-            best = witnesses[0].size
-        if s.completed or witnesses:
-            found = bool(witnesses)
-    else:
-        witnesses = tuple(
-            sorted((f for f in s.witnesses if f.size == best), key=lambda f: f.members)
-        )
     result = SearchResult(
-        target=cfg.target,
-        best_size=best,
-        witnesses=witnesses,
-        extremal_class_count=len(witnesses) if cfg.target == ENUMERATE else None,
+        target=s.cfg.target,
+        witnesses=tuple(sorted(s.witnesses, key=lambda f: f.members)),
         nodes_explored=s.nodes,
         completed=s.completed,
-        found=found,
     )
     for w in result.witnesses:
         if find_rainbow(w) is not None:
@@ -646,8 +650,6 @@ def resume_search(
     )
     s.nodes, s.best = state["nodes"], state["best"]
     s.witnesses = list(state["witnesses"])
-    if state["found"]:
-        s.found_witness = s.witnesses[0]
     if not state["done"]:
         # rebuild geometry along the prefix without counting those nodes
         s.run(state["prefix"])

@@ -332,8 +332,8 @@ def test_search_prove_found_and_refuted(capsys):
 
 
 def test_search_prove_without_witness_prints_no_best(capsys):
-    # the largest family a refuted or undecided proof met depends on the
-    # cuts and is no maximum (m(8) = 8), so no best= line is printed
+    # best is the witnesses' size, so a refuted or undecided proof, which
+    # has no witness, prints no best= line
     argv = ["search", "--n", "8", "--prove", "9", "--porcelain"]
     code, out, _ = run_cli(capsys, argv)
     assert (code, out) == (FAIL, "witness=refuted\nwitnesses=0\n")

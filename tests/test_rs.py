@@ -136,6 +136,24 @@ def test_unique_triangle_against_brute_counts():
             assert bad == offenders[0]
 
 
+def test_t2_constraints_are_the_unique_triangle_property():
+    # on any doubled layer, "members edge-disjoint and no other triangle
+    # in their union graph" is "every edge lies in exactly one triangle",
+    # whether or not the family has a rainbow; a rainbow-free family
+    # never violates them
+    rng = random.Random(24)
+    kinds = {}
+    for _ in range(3000):
+        f = random_family(rng, rng.randint(3, 9), 10, MULTISET)
+        d = decompose(f)
+        ok = check_t2_constraints(d, f)[0]
+        assert ok == unique_triangle_property(d.g2)[0], f.members
+        kind = (ok, find_rainbow(f) is None)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {(True, True), (True, False), (False, False)}
+    assert min(kinds.values()) >= 300
+
+
 def test_size_preserved_on_random_multisets():
     rng = random.Random(91)
     for _ in range(200):

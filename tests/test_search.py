@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -124,6 +125,7 @@ def test_prove_found_and_refuted():
     assert find_rainbow(r.witnesses[0]) is None
     r = prove_size(5, 4)
     assert r.found is False and r.completed and not r.witnesses
+    assert r.best_size == -1
 
 
 def test_enumerate_n8_unique_class():
@@ -436,13 +438,67 @@ def test_corrupt_checkpoints_are_rejected(tmp_path, monkeypatch):
         with pytest.raises(SearchError, match="cannot read"):
             resume_search(str(path))
 
-    # a found proof stores the found witness, which is larger than best
+    # a found proof stores its witness alone, and best is its size
     found = tmp_path / "found.ckpt"
     run_search(SearchConfig(n=8, target="prove", prove_k=8, checkpoint_path=str(found)))
     state = load_checkpoint(str(found))
-    assert state["found"] and state["best"] == 7
-    assert [w.size for w in state["witnesses"]] == [8]
+    (w,) = state["witnesses"]
+    assert state["found"] and state["best"] == 8 == w.size
     assert resume_search(str(found)).found is True
+
+
+def test_checkpoint_witnesses_of_two_sizes_are_refused(tmp_path):
+    # the witnesses are a search's only record, so they share one size;
+    # here best is the larger one
+    ck = tmp_path / "max.ckpt"
+    run_search(SearchConfig(n=6, node_limit=5, checkpoint_path=str(ck)))
+    text = ck.read_text()
+    stored = load_checkpoint(str(ck))["witnesses"]
+    small = family_from_triangles(6, [(0, 1, 2)])
+    assert stored and stored[0].size > small.size
+    count = len(stored)
+    text = text.replace(f"\nwitnesses {count}\n", f"\nwitnesses {count + 1}\n")
+    ck.write_text(text + "witness\n" + serialize_family(small))
+    with pytest.raises(SearchError, match="stored witnesses differ in size"):
+        load_checkpoint(str(ck))
+
+
+@pytest.mark.parametrize("n,mode,k,limit,met", [(7, MULTISET, 6, 4, 3), (8, SET, 9, 5, 4)])
+def test_older_proof_checkpoints_resume(tmp_path, n, mode, k, limit, met):
+    # a proof used to store the largest families it met, with best their
+    # size, and a found proof's best was the largest family met before
+    # its witness (k - 1 here); such files, built by editing new ones,
+    # load and resume as the new ones do, and a wrong best is refused
+    cfg = SearchConfig(n=n, mode=mode, target="prove", prove_k=k)
+    base = run_search(cfg)
+    stop, end, old, again = (tmp_path / name for name in ("stop", "end", "old", "again"))
+    run_search(dataclasses.replace(cfg, node_limit=limit, checkpoint_path=str(stop)))
+    run_search(dataclasses.replace(cfg, checkpoint_path=str(end)))
+    star = serialize_family(family_from_triangles(n, [(0, 1, j) for j in range(2, 2 + met)], mode))
+
+    def with_star(text, best):
+        # the star on 0, 1 as the one largest family met, of size met
+        blocks = f"\nwitnesses 1\nwitness\n{star}"
+        return text.replace("\nbest -1\n", f"\nbest {best}\n").replace("\nwitnesses 0\n", blocks)
+
+    for ck in (stop, end):
+        text = ck.read_text()
+        state = load_checkpoint(str(ck))
+        if state["found"]:
+            assert state["best"] == k
+            older = text.replace(f"\nbest {k}\n", f"\nbest {k - 1}\n")
+        else:
+            assert state["best"] == -1 and "\nwitnesses 0\n" in text
+            older = with_star(text, met)
+            old.write_text(with_star(text, met + 1))
+            with pytest.raises(SearchError, match="does not match the stored witnesses"):
+                load_checkpoint(str(old))
+        old.write_text(older)
+        assert load_checkpoint(str(old)) == state
+        r = resume_search(str(old), checkpoint_path=str(again))
+        assert (r.found, r.nodes_explored) == (base.found, base.nodes_explored)
+        assert _result_key(r) == _result_key(base)
+        assert again.read_text() == end.read_text()
 
 
 @pytest.mark.parametrize("target,k", [("enumerate", 0), ("prove", 8)])
