@@ -7,26 +7,34 @@ the lexicographically least one for its member multiset. Deleting the
 largest member of such a family leaves another such family, so every
 isomorphism class is visited exactly once, with no seen-set.
 
-A child is listed before it is tested, and two cuts bound what its whole
-subtree can still add; a child whose size plus either bound cannot reach
-the best (or the size to prove) is dropped before the labeling DFS that
-tests its canonicity. The first bound is its capacity, the summed
-multiplicities of its extensions; the parent's own list bounds every
-child's capacity, so most children are dropped before they are listed.
-The second is the private-edge bound. In a rainbow-free family each
-member shares at most one of its edges with other triangles, and a
-doubled member shares none (rainbow.shared_edge_count, rs): abc with ab
-on abd and ac on ace would make ab, ac, bc rainbow, and so would abd
-beside two copies of abc. Pool indices strictly increase, so every
-triangle a subtree adds is new, and its two (doubled: three) private
-edges are uncovered now, lie on triangles in the child's list and belong
-to no other added triangle. With U the uncovered edges of the listed
-triangles and D the listed entries of 2, d doubled and s single added
-triangles need 3d + 2s <= |U| with d <= D, so the subtree adds at most
+Two cuts bound what a child's whole subtree can still add; a child whose
+size plus either bound cannot reach the best (or the size to prove) is
+dropped before the labeling DFS that tests its canonicity. The first
+bound is its capacity, the summed multiplicities of its extensions. The
+second is the private-edge bound. In a rainbow-free family each member
+shares at most one of its edges with other triangles, and a doubled
+member shares none (rainbow.shared_edge_count, rs): abc with ab on abd
+and ac on ace would make ab, ac, bc rainbow, and so would abd beside two
+copies of abc. Pool indices strictly increase, so every triangle a
+subtree adds is new, and its two (doubled: three) private edges are
+uncovered now, lie on triangles in the child's list and belong to no
+other added triangle. With U the uncovered edges of the listed triangles
+and D the listed entries of 2, d doubled and s single added triangles
+need 3d + 2s <= |U| with d <= D, so the subtree adds at most
 2x + (|U| - 3x) // 2 for x = min(D, |U| // 3); in set mode D is 0 and
-this is |U| // 2. Either cut removes only subtrees that cannot reach
-the target and keeps the DFS order, so every class that can is still
-visited exactly once; only the node count depends on the cuts.
+this is |U| // 2. The bound never falls as |U| or D grows.
+
+Both bounds are read from the parent's list before the child is listed,
+and again from the child's own list. A child's list is a subset of the
+parent's entries after it, each entry at most the parent's, so the
+parent's entries after it bound its capacity; its uncovered edges are
+among the parent's uncovered edges on those entries, less its own, and
+its entries of 2 are among the parent's, so its private-edge bound is at
+most the one read that way. Most children are dropped before they are
+listed, and a child dropped then is one its own list would drop too.
+Either cut removes only subtrees that cannot reach the target and keeps
+the DFS order, so every class that can is still visited exactly once;
+only the node count depends on the cuts.
 
 Each node redoes only what its newest member changes. A child's
 extension list is derived from its parent's (see
@@ -52,6 +60,7 @@ import itertools
 import os
 import re
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from ._accel import (
@@ -80,11 +89,12 @@ ENUMERATE = "enumerate"
 TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
-# its pool and lists their extensions for every child it tests: at n = 64
-# about 0.1 s for the root's listing from scratch, 0.025 s for a child's
-# derived from its parent's and 0.02 s for a child's private-edge bound
-# (Python 3.11, 2-CPU machine), and no exhaustive search near this size
-# ends.
+# its pool and lists their extensions for every child its parent's list
+# does not drop: at n = 64 about 0.1 s for the root's listing from
+# scratch and 0.025 s for a child's derived from its parent's.  A
+# listing's private-edge table takes about 0.03 s and is built only where
+# a child's size is below the size to reach (Python 3.11, 2-CPU machine).
+# No exhaustive search near this size ends.
 MAX_SEARCH_N = 64
 
 _CKPT_MAGIC = "ckpt 1"
@@ -157,6 +167,13 @@ class SearchResult:
         return len(self.witnesses) if self.target == ENUMERATE else None
 
 
+def _edge_bound(u: int, d: int) -> int:
+    """At most what a subtree adds from listed triangles with u uncovered
+    edges and d entries of 2 (see the module docstring)."""
+    x = min(d, u // 3)
+    return 2 * x + (u - 3 * x) // 2
+
+
 def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
@@ -190,8 +207,9 @@ class _Searcher:
     owner counts and size; the member rows (a, b, c, m) and what the
     kernels take are derived from the stack, O(k) for k members.  Each
     depth keeps the extension list of the node there, from which its
-    children's lists are derived, and the automorphisms its canonicity
-    walk found, with which its children's walks are seeded.
+    children's lists are derived, the automorphisms its canonicity walk
+    found, with which its children's walks are seeded, and, once a cut
+    has read it, the private-edge table of that list (_table).
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -212,6 +230,8 @@ class _Searcher:
         # 0..sup-1, written by its canonicity walk; a replayed node has no
         # walk and keeps the empty list it starts with
         self._gens: list[list[list[int]]] = []
+        # the private-edge table of each depth's list, None until read
+        self._tabs: list[tuple[list[int], list[int], dict[int, int], int] | None] = []
 
     # -- state plumbing
 
@@ -219,6 +239,7 @@ class _Searcher:
         while depth >= len(self._bufs):
             self._bufs.append([0] * self.total)
             self._gens.append([])
+            self._tabs.append(None)
         return self._bufs[depth]
 
     def _push(self, idx: int, m: int) -> None:
@@ -301,6 +322,9 @@ class _Searcher:
         if depth:
             top = self.stack[-1][0]
             start, parent = top + 1, (self._buf(depth - 1), *self.pool[top])
+        out = self._buf(depth)
+        # the table of what the buffer held is stale
+        self._tabs[depth] = None
         return list_extensions(
             self.cnt,
             [(a * n + b) * n + c for a, b, c, _ in self._rows()],
@@ -311,43 +335,82 @@ class _Searcher:
             self.pool_c,
             start,
             self.cfg.max_multiplicity,
-            self._buf(depth),
+            out,
             *parent,
         )
+
+    def _table(self) -> tuple[list[int], list[int], dict[int, int], int]:
+        """The private-edge table of the stack's depth's extension list,
+        built once per listing in one pass down the listed entries.
+
+        For each listed index, u_after and d_after hold the uncovered
+        edges on the listed triangles after it and their entries of 2.
+        last maps each uncovered edge on a listed triangle to the last
+        listed index that carries it, and twos counts all entries of 2.
+        """
+        depth = len(self.stack)
+        tab = self._tabs[depth]
+        if tab is None:
+            n, cnt, pool, buf = self.cfg.n, self.cnt, self.pool, self._bufs[depth]
+            start = self.stack[-1][0] + 1 if self.stack else 0
+            u_after, d_after = [0] * self.total, [0] * self.total
+            last: dict[int, int] = {}
+            twos = 0
+            listed = itertools.compress(range(start, self.total), buf[start:])
+            for idx in reversed(list(listed)):
+                u_after[idx], d_after[idx] = len(last), twos
+                a, b, c = pool[idx]
+                row_a = cnt[a]
+                if not row_a[b] and (e := a * n + b) not in last:
+                    last[e] = idx
+                if not row_a[c] and (e := a * n + c) not in last:
+                    last[e] = idx
+                if not cnt[b][c] and (e := b * n + c) not in last:
+                    last[e] = idx
+                if buf[idx] == 2:
+                    twos += 1
+            tab = self._tabs[depth] = (u_after, d_after, last, twos)
+        return tab
 
     def _private_bound(self) -> int:
         """The private-edge bound of the family on the stack: at most
         what its subtree can add, read from its depth's extension list
         (see the module docstring)."""
-        n, cnt, pool = self.cfg.n, self.cnt, self.pool
-        start = self.stack[-1][0] + 1 if self.stack else 0
-        listed = self._bufs[len(self.stack)][start:]
-        free = set()
-        for idx in itertools.compress(range(start, self.total), listed):
-            a, b, c = pool[idx]
-            row_a = cnt[a]
-            if not row_a[b]:
-                free.add(a * n + b)
-            if not row_a[c]:
-                free.add(a * n + c)
-            if not cnt[b][c]:
-                free.add(b * n + c)
-        u = len(free)
-        x = min(listed.count(2), u // 3)
-        return 2 * x + (u - 3 * x) // 2
+        _, _, last, twos = self._table()
+        return _edge_bound(len(last), twos)
 
-    def _cut(self, capacity: int, listed: bool = False) -> str | None:
+    def _child_bound(self, idx: int) -> int:
+        """The private-edge bound of the child that adds pool triangle idx
+        to the family on the stack, read from the stack's own list before
+        the child's is made: at least the child's _private_bound() once
+        it is listed (see the module docstring)."""
+        u_after, d_after, last, _ = self._table()
+        a, b, c = self.pool[idx]
+        n = self.cfg.n
+        # the child covers its own edges, so those counted after it leave U
+        u = u_after[idx]
+        for e in (a * n + b, a * n + c, b * n + c):
+            u -= last.get(e, idx) > idx
+        return _edge_bound(u, d_after[idx])
+
+    def _cut(
+        self, capacity: int, grown: int = 0, private: Callable[[], int] | None = None
+    ) -> str | None:
         """The cut that drops a branch from the family on the stack, or None.
 
+        The branch's first family is the stack's plus grown copies of a
+        triangle not yet pushed (0 when the stack's top starts it).
         "capacity": the stack's size plus capacity, a bound on what the
-        branch adds, cannot reach _needed().  "private": listed is True,
-        the stack's top is a child whose extensions are listed at its
-        depth, and its size plus their private-edge bound cannot.
+        branch adds, cannot reach _needed().  "private": private is given,
+        the first family's size is below _needed(), and that size plus
+        private(), a private-edge bound on what its subtree adds, cannot
+        reach it; private is read only then.
         """
         needed = self._needed()
+        size = self.size + grown
         if self.size + capacity < needed:
             return "capacity"
-        if listed and self.size + self._private_bound() < needed:
+        if private is not None and size < needed and size + private() < needed:
             return "private"
         return None
 
@@ -356,14 +419,17 @@ class _Searcher:
 
         Every cut is _cut's, read for every child because the best rises
         as the DFS goes.  The children's summed capacity from the current
-        one on ends the loop; a child's multiplicity plus the capacity
-        after it drops the child before it is listed; its own capacity,
-        then the private-edge bound of its list, drop it before its
-        labeling DFS.  The private-edge bound counts the uncovered edges
-        of the child's listed triangles: every triangle its subtree adds
-        keeps two of them (a doubled one three) that no other added
-        triangle takes.  The forced branches of a checkpoint replay are
-        never dropped.
+        one on ends the loop.  Before a child (t, m) is listed, m plus the
+        capacity after t drops it, and then the private-edge bound read
+        from this node's table (_child_bound): the uncovered edges on the
+        listed triangles after t, less t's own, and the entries of 2 there.
+        Once listed, its own capacity, then the private-edge bound of its
+        list, drop it before its labeling DFS.  The private-edge bound
+        counts uncovered edges because every triangle a subtree adds keeps
+        two of them (a doubled one three) that no other added triangle
+        takes.  The table is built only when a child's size is below the
+        size to reach, as no bound can drop it otherwise.  The forced
+        branches of a checkpoint replay are never dropped.
 
         A child (t, m) is P + (t, m) for this node's family P, so an
         automorphism of P that maps t's vertex set onto itself, extended
@@ -413,11 +479,11 @@ class _Searcher:
                     self._pop()
                     replaying = False
                     continue
-                if self._cut(m + rest):
+                if self._cut(m + rest, m, lambda: self._child_bound(idx)):
                     continue
                 self._push(idx, m)
                 cap = self._list()
-                if self._cut(cap, listed=True) is None:
+                if self._cut(cap, 0, self._private_bound) is None:
                     # the automorphisms of this node that fix t setwise,
                     # extended by the identity on t's fresh vertices
                     t = {a, b, c}

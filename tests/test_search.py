@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import os
@@ -201,20 +202,26 @@ def _largest_addition(f, later):
     return best
 
 
+def _bound_families(mode, seed, samples):
+    """The member-less families on 3..6 vertices, whose largest additions
+    are the maxima and where doubled members matter, and the rainbow-free
+    ones among samples random families on up to 7 vertices."""
+    rng = random.Random(seed)
+    families = [TriangleFamily(n, (), mode) for n in range(3, 7)]
+    for _ in range(samples):
+        f = random_family(rng, rng.randint(3, 7), 4, mode)
+        if f.members and find_rainbow(f) is None:
+            families.append(f)
+    return families
+
+
 @pytest.mark.parametrize("mode", [SET, MULTISET])
 def test_private_bound_covers_every_addition(mode):
     # the bound must cover every rainbow-free addition from the triangles
     # listed after the family's last member, and is often below the
-    # capacity; the member-less families on 3..6 vertices, whose largest
-    # additions are the maxima, are the ones where doubled members matter
-    rng = random.Random(21)
-    families = [TriangleFamily(n, (), mode) for n in range(3, 7)]
-    for _ in range(60):
-        f = random_family(rng, rng.randint(3, 7), 4, mode)
-        if f.members and find_rainbow(f) is None:
-            families.append(f)
+    # capacity
     below_capacity = 0
-    for f in families:
+    for f in _bound_families(mode, 21, 60):
         s = search_module._Searcher(SearchConfig(f.n, mode))
         cap = s._list()
         for t, m in sorted(f.members):
@@ -227,6 +234,58 @@ def test_private_bound_covers_every_addition(mode):
         assert bound >= _largest_addition(f, later), f.members
         below_capacity += bound < cap
     assert below_capacity >= 10
+
+
+@pytest.mark.parametrize("mode", [SET, MULTISET])
+def test_child_bound_covers_the_listed_bound(mode):
+    # a child's bound read from its parent's list before it is listed is
+    # never below the bound read from its own list, so a child dropped
+    # before listing is one its own list would drop too
+    children = below = 0
+    for f in _bound_families(mode, 25, 200):
+        s = search_module._Searcher(SearchConfig(f.n, mode))
+        s._list()
+        for t, m in sorted(f.members):
+            s._push(s.pool.index(t), m)
+            s._list()
+        buf = s._bufs[len(s.stack)]
+        start = s.stack[-1][0] + 1 if s.stack else 0
+        for idx in range(start, s.total):
+            for m in range(1, buf[idx] + 1):
+                before = s._child_bound(idx)
+                s._push(idx, m)
+                s._list()
+                after = s._private_bound()
+                s._pop()
+                assert before >= after, (f.members, s.pool[idx], m)
+                children += 1
+                below += after < before
+    assert children > 300 and below > 100
+
+
+def test_child_bound_cuts_listings_only(monkeypatch):
+    # the bound read before listing saves listings, not nodes or labeling
+    # walks (2,736 and 1,014 listings without it)
+    calls = collections.Counter()
+
+    def spy(name):
+        real = getattr(search_module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in ("list_extensions", "is_min_labeled"):
+        monkeypatch.setattr(search_module, name, spy(name))
+    for run, n, nodes, want in (
+        (enumerate_extremal, 12, 196, (681, 357)),
+        (max_family, 11, 106, (323, 181)),
+    ):
+        calls.clear()
+        assert run(n).nodes_explored == nodes
+        assert (calls["list_extensions"], calls["is_min_labeled"]) == want
 
 
 def test_private_cut_changes_only_node_counts(monkeypatch):
