@@ -94,9 +94,10 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
+    """Write text to path through write_atomic, so a failed write leaves
+    the previous file whole."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(path, text)
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 

@@ -8,7 +8,7 @@ largest member of such a family leaves another such family, so every
 isomorphism class is visited exactly once, with no seen-set.
 
 Two cuts bound what a child's whole subtree can still add; a child whose
-size plus either bound cannot reach the best (or the size to prove) is
+size plus either bound cannot reach need, the size to reach (below), is
 dropped before the labeling DFS that tests its canonicity. The first
 bound is its capacity, the summed multiplicities of its extensions. The
 second is the private-edge bound. In a rainbow-free family each member
@@ -32,7 +32,7 @@ among the parent's uncovered edges on those entries, less its own, and
 its entries of 2 are among the parent's, so its private-edge bound is at
 most the one read that way. Most children are dropped before they are
 listed, and a child dropped then is one its own list would drop too.
-Either cut removes only subtrees that cannot reach the target and keeps
+Either cut removes only subtrees that cannot reach need and keeps
 the DFS order, so every class that can is still visited exactly once;
 only the node count depends on the cuts.
 
@@ -46,11 +46,11 @@ from a checkpoint have no walk and hand their children none, so resumed
 runs make the same canonicity calls as one uninterrupted run.
 
 Targets share one engine, and its witnesses are its only record of what
-it found. maximize and enumerate collect every canonical family of the
-best size reached (pruning only cuts branches that cannot tie the best).
-prove stops at the first family of the requested size in depth-first
-order and keeps that family alone; its cuts read the requested size, so
-it tracks no best.
+it found. Every cut and record compares with one size, need: for prove
+the requested size, where the first family reaching it in depth-first
+order is kept alone and ends the run; for maximize and enumerate the
+witnesses' size (-1 before the root), raised by each larger family met,
+so every canonical family of the maximum size is collected.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import errno
 import itertools
 import os
 import re
-import tempfile
+import stat
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -192,12 +192,8 @@ def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     return rainbow_after_add(cnt, codes, tm, len(verts), a, b, c, add_m) == 0
 
 
-class _LimitHit(Exception):
-    pass
-
-
-class _ProofFound(Exception):
-    pass
+class _Stop(Exception):
+    """Unwinds the DFS: at the node limit or at a proof's witness."""
 
 
 class _Searcher:
@@ -221,8 +217,6 @@ class _Searcher:
         self.stack: list[tuple[int, int]] = []
         self.size = 0
         self.nodes = 0
-        # the best size reached, for maximize and enumerate only
-        self.best = -1
         self.witnesses: list[TriangleFamily] = []
         self.completed = True
         self._bufs: list[list[int]] = []
@@ -260,37 +254,31 @@ class _Searcher:
         members = tuple((self.pool[i], m) for i, m in self.stack)
         return TriangleFamily(self.cfg.n, members, self.cfg.mode)
 
-    def _needed(self) -> int:
-        return self.cfg.prove_k if self.cfg.target == PROVE else self.best
-
     # -- node accounting
 
     def _count_node(self) -> None:
-        limit = self.cfg.node_limit
-        if limit and self.nodes >= limit:
-            if self.cfg.checkpoint_path:
-                self._write_checkpoint(done=False)
-            raise _LimitHit
-        if (
-            self.cfg.checkpoint_path
-            and self.nodes
-            and self.nodes % _CKPT_INTERVAL == 0
-        ):
+        limit, nodes = self.cfg.node_limit, self.nodes
+        stop = bool(limit) and nodes >= limit
+        # a checkpoint every interval, and one where the limit stops the run
+        if self.cfg.checkpoint_path and (stop or nodes and nodes % _CKPT_INTERVAL == 0):
             self._write_checkpoint(done=False)
+        if stop:
+            self.completed = False
+            raise _Stop
         self.nodes += 1
 
     # -- bookkeeping at a node
 
     def _record(self) -> None:
+        if self.size < self.need:
+            return
         if self.cfg.target == PROVE:
-            if self.size >= self.cfg.prove_k:
-                self.witnesses = [self._snapshot()]
-                raise _ProofFound
-        elif self.size > self.best:
-            self.best = self.size
             self.witnesses = [self._snapshot()]
-        elif self.size == self.best:
-            self.witnesses.append(self._snapshot())
+            raise _Stop
+        if self.size > self.need:
+            self.need = self.size
+            self.witnesses = []
+        self.witnesses.append(self._snapshot())
 
     # -- the DFS
 
@@ -298,11 +286,13 @@ class _Searcher:
         if self.cfg.checkpoint_path:
             # an unwritable path fails now, not after the first interval
             _write_checkpoint_file(self.cfg.checkpoint_path, None)
+        # a proof's k, else the stored witnesses' size (-1 with none, so a
+        # fresh run's root is its first record)
+        self.need = self.cfg.prove_k if self.cfg.target == PROVE else (
+            self.witnesses[0].size if self.witnesses else -1)
         try:
             self._process(replay, self._list())
-        except _LimitHit:
-            self.completed = False
-        except _ProofFound:
+        except _Stop:
             pass
         finally:
             while self.stack:
@@ -394,42 +384,36 @@ class _Searcher:
         return _edge_bound(u, d_after[idx])
 
     def _cut(
-        self, capacity: int, grown: int = 0, private: Callable[[], int] | None = None
+        self, size: int, capacity: int, bound: Callable[[], int] | None = None
     ) -> str | None:
-        """The cut that drops a branch from the family on the stack, or None.
-
-        The branch's first family is the stack's plus grown copies of a
-        triangle not yet pushed (0 when the stack's top starts it).
-        "capacity": the stack's size plus capacity, a bound on what the
-        branch adds, cannot reach _needed().  "private": private is given,
-        the first family's size is below _needed(), and that size plus
-        private(), a private-edge bound on what its subtree adds, cannot
-        reach it; private is read only then.
+        """The cut that drops a branch grown from a family of size members,
+        or None.  "capacity": size plus capacity, a bound on what the branch
+        adds to that family, is below need.  "private": bound is given, size
+        is below need, and size plus bound(), a private-edge bound on what
+        the family's subtree adds, is below need; bound is read only then.
         """
-        needed = self._needed()
-        size = self.size + grown
-        if self.size + capacity < needed:
+        if size + capacity < self.need:
             return "capacity"
-        if private is not None and size < needed and size + private() < needed:
+        if bound is not None and size < self.need and size + bound() < self.need:
             return "private"
         return None
 
     def _process(self, replay: tuple[tuple[Triangle, int], ...], capacity: int) -> None:
         """Count and record the node on the stack, then try its children.
 
-        Every cut is _cut's, read for every child because the best rises
-        as the DFS goes.  The children's summed capacity from the current
-        one on ends the loop.  Before a child (t, m) is listed, m plus the
-        capacity after t drops it, and then the private-edge bound read
-        from this node's table (_child_bound): the uncovered edges on the
-        listed triangles after t, less t's own, and the entries of 2 there.
-        Once listed, its own capacity, then the private-edge bound of its
-        list, drop it before its labeling DFS.  The private-edge bound
-        counts uncovered edges because every triangle a subtree adds keeps
-        two of them (a doubled one three) that no other added triangle
-        takes.  The table is built only when a child's size is below the
-        size to reach, as no bound can drop it otherwise.  The forced
-        branches of a checkpoint replay are never dropped.
+        Every cut is _cut's against need, read for every child because
+        need rises as the DFS records larger families.  The children's
+        summed capacity from the current one on ends the loop.  Before a
+        child (t, m) is listed, its size plus the capacity after t drops
+        it, and then the private-edge bound read from this node's table
+        (_child_bound): the uncovered edges on the listed triangles after
+        t, less t's own, and the entries of 2 there.  Once listed, its own
+        capacity, then the private-edge bound of its list, drop it before
+        its labeling DFS.  The table is built only when a child's size is
+        below need, as no bound can drop it otherwise.  While replay, a
+        checkpoint's prefix below this node, is nonempty, the node is not
+        counted or recorded and only its forced child is tried, uncut;
+        replay is emptied once that child returns.
 
         A child (t, m) is P + (t, m) for this node's family P, so an
         automorphism of P that maps t's vertex set onto itself, extended
@@ -437,15 +421,13 @@ class _Searcher:
         child: the child's walk is seeded with those, and on an accept
         leaves its own at the next depth.
         """
-        replaying = bool(replay)
         depth = len(self.stack)
-        if not replaying:
+        if not replay:
             self._count_node()
             self._record()
         start = self.stack[-1][0] + 1 if self.stack else 0
         buf = self._buf(depth)
         gens = self._gens[depth]
-        forced = replay[0] if replaying else None
         # the support is 0..sup-1, so sup is the next fresh label
         sup = max((self.pool[idx][2] for idx, _ in self.stack), default=-1) + 1
         # rest is the capacity of buf[idx:], and bounds every later child
@@ -454,7 +436,7 @@ class _Searcher:
             mm = buf[idx]
             if mm == 0:
                 continue
-            if not replaying and self._cut(rest):
+            if not replay and self._cut(self.size, rest):
                 break
             rest -= mm
             # fresh vertices must take the next free labels
@@ -466,10 +448,10 @@ class _Searcher:
             for m in (1, 2):
                 if m > mm:
                     break
-                if replaying:
-                    if (self.pool[idx], m) < forced:
+                if replay:
+                    if (self.pool[idx], m) < replay[0]:
                         continue
-                    if (self.pool[idx], m) != forced:
+                    if (self.pool[idx], m) != replay[0]:
                         raise SearchError(
                             "checkpoint prefix is not a valid extension path"
                         )
@@ -477,13 +459,13 @@ class _Searcher:
                     self._push(idx, m)
                     self._process(replay[1:], self._list())
                     self._pop()
-                    replaying = False
+                    replay = ()
                     continue
-                if self._cut(m + rest, m, lambda: self._child_bound(idx)):
+                if self._cut(self.size + m, rest, lambda: self._child_bound(idx)):
                     continue
                 self._push(idx, m)
                 cap = self._list()
-                if self._cut(cap, 0, self._private_bound) is None:
+                if self._cut(self.size, cap, self._private_bound) is None:
                     # the automorphisms of this node that fix t setwise,
                     # extended by the identity on t's fresh vertices
                     t = {a, b, c}
@@ -492,7 +474,7 @@ class _Searcher:
                     if is_min_labeled(self._rows(), self.cfg.n, seed, self._gens[depth + 1]):
                         self._process((), cap)
                 self._pop()
-        if replaying:
+        if replay:
             raise SearchError("checkpoint prefix is not a valid extension path")
 
     # -- checkpointing
@@ -516,8 +498,11 @@ class _Searcher:
 
 
 def write_atomic(path: str, payload: str | None) -> None:
-    """Replace path by way of a temporary file beside it; with payload None,
-    only check that path is no directory and that its directory takes a file.
+    """Write payload to path as UTF-8 by way of a temporary file beside it,
+    so a failed write leaves path as it was; with payload None, only check
+    that path is no directory and that its directory takes a file.  The
+    file gets the mode open(path, "w") would leave, and a symlink, device
+    or FIFO at path is written in place, as open would.
 
     An OSError from the temporary file (making, writing or renaming it)
     is raised again as only its errno and text, without the file's random
@@ -525,13 +510,23 @@ def write_atomic(path: str, payload: str | None) -> None:
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        if payload is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-        with os.fdopen(fd, "w") as fh:
+        name = os.path.join(directory, f".ckpt-{os.urandom(8).hex()}")
+        # made as open makes a file, 0666 less the umask, not mkstemp's 0600
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload or "")
         if payload is not None:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             os.replace(tmp, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror) from None
@@ -714,7 +709,7 @@ def resume_search(
             checkpoint_path=checkpoint_path,
         )
     )
-    s.nodes, s.best = state["nodes"], state["best"]
+    s.nodes = state["nodes"]
     s.witnesses = list(state["witnesses"])
     if not state["done"]:
         # rebuild geometry along the prefix without counting those nodes

@@ -7,6 +7,7 @@ import io
 import os
 import random
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -103,6 +104,54 @@ def test_check_out_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["check", path, "--out", str(target)])
     assert code == OK and out == ""
     assert target.read_text() == "rainbow-free\n"
+
+
+def test_out_write_failing_partway_keeps_the_previous_file(tmp_path):
+    # the file-size limit stops the write after 512 bytes (EFBIG); the
+    # previous file stays whole, where truncating it first would leave a
+    # TRIFAM prefix that parses as a smaller rainbow-free family
+    target = tmp_path / "out.trifam"
+    target.write_text(serialize_family(t_star(8)))
+    before = target.read_bytes()
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (512, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowfree.cli", "construct", "tstar", "--n", "32"]
+        + ["--out", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=cap,
+        timeout=60,
+    )
+    assert len(serialize_family(t_star(32))) > 512
+    assert proc.returncode == USAGE, proc.stderr
+    efbig = OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+    assert proc.stderr == f"error: cannot write {target}: {efbig}\n"
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.trifam"]
+
+
+def test_out_file_takes_the_mode_open_gives(tmp_path, capsys):
+    # a new file gets 0666 less the umask, not the temporary file's 0600,
+    # and a file written again keeps its mode
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = tmp_path / "out"
+    argv = ["construct", "tstar", "--n", "4", "--out", str(out)]
+    assert run_cli(capsys, argv)[0] == OK
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    out.chmod(0o640)
+    assert run_cli(capsys, argv)[0] == OK
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    # a symlink is written through, as open would, not replaced
+    link = tmp_path / "link"
+    link.symlink_to(plain)
+    assert run_cli(capsys, [*argv[:-1], str(link)])[0] == OK
+    assert link.is_symlink() and plain.read_text() == serialize_family(t_star(4))
 
 
 def test_check_bad_inputs(tmp_path, capsys):

@@ -7,12 +7,14 @@ import random
 
 import pytest
 
+from rainbowfree.cli import main
 from rainbowfree.constructions import double, doubled_nine, t_star
 from rainbowfree.family import (
     MULTISET,
     SET,
     TrifamError,
     family_from_triangles,
+    serialize_family,
     union_graph,
 )
 from rainbowfree.rainbow import find_rainbow
@@ -24,7 +26,7 @@ from rainbowfree.rs import (
 )
 from rainbowfree.search import max_family
 
-from oracles import random_family
+from oracles import brute_has_rainbow, random_family
 
 
 def _brute_edge_triangle_counts(g):
@@ -183,6 +185,33 @@ def test_consequences_hold_on_doubled_constructions():
     d = decompose(f)
     assert check_t2_constraints(d, f) == (True, ())
     assert unique_triangle_property(d.g2) == (True, None)
+
+
+def _doubled_gq22():
+    """The generalized quadrangle GQ(2,2) with each line taken twice: its
+    points are the 15 pairs of {0..5}, its lines the 15 perfect matchings
+    of K6, each matching a triangle on its three pairs."""
+    points = list(itertools.combinations(range(6), 2))
+    lines = [
+        tuple(sorted(points.index(p) for p in matching))
+        for matching in itertools.combinations(points, 3)
+        if len({v for p in matching for v in p}) == 6
+    ]
+    assert len(lines) == 15
+    return double(family_from_triangles(15, lines, SET))
+
+
+def test_doubled_gq22_beats_n_squared_over_8(tmp_path, capsys):
+    # multiset m(15) >= 30 > 225 // 8 = 28, checked without the search
+    f = _doubled_gq22()
+    assert f.mode == MULTISET and f.size == 30 > 15 * 15 // 8
+    assert not brute_has_rainbow(f)
+    assert find_rainbow(f) is None
+    path = tmp_path / "gq22.trifam"
+    path.write_text(serialize_family(f))
+    assert main(["rs", str(path), "--porcelain"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "t2-constraints=true" in out and "unique-triangle=true" in out
 
 
 def test_bound_report_doubled_nine():

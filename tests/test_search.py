@@ -265,7 +265,9 @@ def test_child_bound_covers_the_listed_bound(mode):
 
 def test_child_bound_cuts_listings_only(monkeypatch):
     # the bound read before listing saves listings, not nodes or labeling
-    # walks (2,736 and 1,014 listings without it)
+    # walks (2,736 and 1,014 listings without it); in an uninterrupted run
+    # the root is counted without a canonicity test and every other node
+    # is an accepted child
     calls = collections.Counter()
 
     def spy(name):
@@ -273,19 +275,23 @@ def test_child_bound_cuts_listings_only(monkeypatch):
 
         def counted(*args):
             calls[name] += 1
-            return real(*args)
+            result = real(*args)
+            calls[name, "accepts"] += bool(result)
+            return result
 
         return counted
 
     for name in ("list_extensions", "is_min_labeled"):
         monkeypatch.setattr(search_module, name, spy(name))
-    for run, n, nodes, want in (
-        (enumerate_extremal, 12, 196, (681, 357)),
-        (max_family, 11, 106, (323, 181)),
+    for run, nodes, want in (
+        (lambda: enumerate_extremal(12), 196, (681, 357)),
+        (lambda: max_family(11), 106, (323, 181)),
+        (lambda: prove_size(9, 12, mode=MULTISET), 46, (226, 83)),
     ):
         calls.clear()
-        assert run(n).nodes_explored == nodes
+        assert run().nodes_explored == nodes
         assert (calls["list_extensions"], calls["is_min_labeled"]) == want
+        assert calls["is_min_labeled", "accepts"] == nodes - 1
 
 
 def test_private_cut_changes_only_node_counts(monkeypatch):
