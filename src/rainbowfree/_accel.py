@@ -7,10 +7,15 @@ Packed values use a radix derived from n (the rainbow kernels pack
 triples with radix n, the labeling DFS packs member codes with radix
 n + 2), so no kernel caps the vertex count.
 
-The rainbow kernels take a family as cnt, the symmetric edge owner counts
-as a list of n rows, codes, the members' packed triples (a*n+b)*n+c
-ascending, and tm, their multiplicities.  A triple's own multiplicity is
-found in codes by binary search, so no kernel input grows with n^3.
+The extension kernels take a family as cnt, the symmetric edge owner
+counts as a list of n rows, codes, the members' packed triples
+(a*n+b)*n+c ascending, and tm, their multiplicities.  A triple's own
+multiplicity is found in codes by binary search, so no kernel input
+grows with n^3.  The rainbow scan takes the union graph as one bitmask
+of higher neighbours per vertex, relative to the vertex, with one dict
+of owner counts per vertex and one of multiplicities keyed by packed
+triples, so its input grows with the members; it visits only the
+triangles of the union graph, where every rainbow triple lies.
 The labeling DFS takes the member rows (a, b, c, m) in ascending order
 and works out the support from them.
 
@@ -102,24 +107,39 @@ def _mult(codes, tm, code):
     return 0
 
 
-def rainbow_triple_scan(cnt, codes, tm, n):
+def rainbow_triple_scan(hi, cnt, mult, n):
     """First rainbow triple in lexicographic order, packed (x*n+y)*n+z.
 
-    Returns -1 when the family is rainbow-free.
+    hi[x] holds bit y - x - 1 for each neighbour y > x of x in the union
+    graph, cnt[x] maps each such y to the owner count of the edge (x, y),
+    and mult maps (x*n+y)*n+z to the multiplicity of the member (x, y, z),
+    read with mult.get.  Only the triangles of the union graph are
+    tested: x ascending, y over x's higher neighbours and z over the
+    common higher neighbours of x and y, each by lowest set bit, which is
+    lexicographic order.  Returns -1 when the family is rainbow-free.
     """
+    get = mult.get
     for x in range(n):
+        hx = hi[x]
         rx = cnt[x]
-        for y in range(x + 1, n):
-            cxy = rx[y]
-            if cxy == 0:
+        while hx:
+            low = hx & -hx
+            hx ^= low
+            d = low.bit_length()
+            y = x + d
+            # hx now holds x's neighbours above y, at bit z - x - 1
+            common = (hx >> d) & hi[y]
+            if not common:
                 continue
+            cxy = rx[y]
             ry = cnt[y]
-            for z in range(y + 1, n):
-                if rx[z] == 0 or ry[z] == 0:
-                    continue
-                code = (x * n + y) * n + z
-                if _hall3(cxy, rx[z], ry[z], _mult(codes, tm, code)) == 1:
-                    return code
+            xy = (x * n + y) * n
+            while common:
+                low = common & -common
+                common ^= low
+                z = y + low.bit_length()
+                if _hall3(cxy, rx[z], ry[z], get(xy + z, 0)) == 1:
+                    return xy + z
     return -1
 
 

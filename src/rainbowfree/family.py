@@ -118,10 +118,7 @@ class TriangleFamily:
                 yield (i, c), t
 
     def support_vertices(self) -> tuple[int, ...]:
-        verts: set[int] = set()
-        for t, _ in self.members:
-            verts.update(t)
-        return tuple(sorted(verts))
+        return tuple(sorted({v for t, _ in self.members for v in t}))
 
 
 def family_from_triangles(
@@ -217,7 +214,8 @@ class UnionGraph:
     """Union of all member edges, with per-edge owner copies.
 
     owners maps each edge to the tuple of member copies containing it,
-    in member order.  adj holds one vertex bitmask per vertex.
+    in member order; its keys are in ascending edge order, as
+    union_graph inserts them.  adj holds one vertex bitmask per vertex.
     """
 
     n: int
@@ -226,7 +224,8 @@ class UnionGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.owners))
+        """The edges in ascending order."""
+        return tuple(self.owners)
 
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")
@@ -235,9 +234,17 @@ class UnionGraph:
 def union_graph(f: TriangleFamily) -> UnionGraph:
     owners: dict[Edge, list[MemberRef]] = {}
     adj = [0] * f.n
-    for ref, t in f.member_copies():
-        for u, v in triangle_edges(t):
-            owners.setdefault((u, v), []).append(ref)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return UnionGraph(f.n, {e: tuple(refs) for e, refs in sorted(owners.items())}, tuple(adj))
+    get = owners.get
+    for i, ((a, b, c), m) in enumerate(f.members):
+        # a single copy, the common case, needs no comprehension
+        refs = [(i, 0)] if m == 1 else [(i, k) for k in range(m)]
+        for e in ((a, b), (a, c), (b, c)):
+            have = get(e)
+            if have is None:
+                owners[e] = refs[:]
+            else:
+                have += refs
+        adj[a] |= 1 << b | 1 << c
+        adj[b] |= 1 << a | 1 << c
+        adj[c] |= 1 << a | 1 << b
+    return UnionGraph(f.n, {e: tuple(owners[e]) for e in sorted(owners)}, tuple(adj))

@@ -38,7 +38,7 @@ def edge_owners(f: TriangleFamily, e: Edge) -> tuple[MemberRef, ...]:
 
 
 def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[int]]:
-    """f as (cnt, codes, tm), the rainbow kernels' member format (see _accel)."""
+    """f as (cnt, codes, tm), the extension kernels' member format (see _accel)."""
     n = f.n
     cnt = [[0] * n for _ in range(n)]
     for (a, b, c), m in f.members:
@@ -51,11 +51,12 @@ def support_state(
     f: TriangleFamily, extra: tuple[int, ...] = ()
 ) -> tuple[list[int], tuple[list[list[int]], list[int], list[int]]]:
     """The support of f plus the vertices in extra, ascending, and the
-    family_state of f relabeled onto them in that order.
+    family_state of f relabeled onto them in that order: the input of
+    the extension kernels (see extend_ok).
 
-    The relabeling keeps vertex order, so ascending triples stay ascending
-    and the least triple stays least; memory and time grow with the
-    members, not with n.
+    The relabeling keeps vertex order, so ascending triples stay
+    ascending; memory grows with the square of the vertices kept, not
+    with n.
     """
     verts = sorted({*extra, *f.support_vertices()})
     if len(verts) == f.n:  # every vertex is used: the labels stay as they are
@@ -63,6 +64,35 @@ def support_state(
     rank = {v: i for i, v in enumerate(verts)}
     members = tuple(((rank[a], rank[b], rank[c]), m) for (a, b, c), m in f.members)
     return verts, family_state(TriangleFamily(len(verts), members, f.mode))
+
+
+def scan_state(
+    f: TriangleFamily,
+) -> tuple[tuple[int, ...], list[int], list[dict[int, int]], dict[int, int]]:
+    """The support of f, ascending, and the input of rainbow_triple_scan
+    on it (hi, cnt, mult; see _accel), keyed on the support ranks.
+
+    One pass over the members builds all three, so time and memory grow
+    with the members, not with n; a bitmask spans from its vertex to its
+    highest neighbour.  Ranks keep vertex order, so the least rainbow
+    triple of the ranks is the least of f.
+    """
+    sup = f.support_vertices()
+    s = len(sup)
+    rank = {v: i for i, v in enumerate(sup)}
+    hi = [0] * s
+    cnt: list[dict[int, int]] = [{} for _ in range(s)]
+    mult: dict[int, int] = {}
+    for (a, b, c), m in f.members:
+        a, b, c = rank[a], rank[b], rank[c]
+        hi[a] |= 1 << (b - a - 1) | 1 << (c - a - 1)
+        hi[b] |= 1 << (c - b - 1)
+        ra, rb = cnt[a], cnt[b]
+        ra[b] = ra.get(b, 0) + m
+        ra[c] = ra.get(c, 0) + m
+        rb[c] = rb.get(c, 0) + m
+        mult[(a * s + b) * s + c] = m
+    return sup, hi, cnt, mult
 
 
 def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
@@ -73,14 +103,13 @@ def find_rainbow(f: TriangleFamily) -> RainbowCertificate | None:
     three ascending edges.  Existence is decided by the counting form of
     Hall's condition; the assignment search below then always succeeds.
 
-    A rainbow triple lies inside the support, so the scan runs on the
-    support relabeled in order (support_state).
+    A rainbow triple is a triangle of the union graph, so the scan
+    (rainbow_triple_scan) walks only those, on the support ranks
+    (scan_state).
     """
-    if not f.members:
-        return None
-    sup, state = support_state(f)
+    sup, hi, cnt, mult = scan_state(f)
     s = len(sup)
-    packed = rainbow_triple_scan(*state, s)
+    packed = rainbow_triple_scan(hi, cnt, mult, s)
     if packed < 0:
         return None
     xy, z = divmod(packed, s)

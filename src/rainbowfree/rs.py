@@ -60,17 +60,15 @@ def decompose(f: TriangleFamily) -> MultisetDecomposition:
 
 
 def _graph_triangles(g: UnionGraph) -> list[Triangle]:
-    # brute force over the edges, listing each triangle once at its
-    # lexicographically least edge; cheap at the sizes handled here
+    # each triangle once, at its lexicographically least edge, with the
+    # common neighbours above v taken by lowest set bit
     out: list[Triangle] = []
     for u, v in g.edges:
         common = (g.adj[u] & g.adj[v]) >> (v + 1)
-        w = v + 1
         while common:
-            if common & 1:
-                out.append((u, v, w))
-            common >>= 1
-            w += 1
+            low = common & -common
+            common ^= low
+            out.append((u, v, v + low.bit_length()))
     return out
 
 

@@ -138,6 +138,11 @@ class SearchConfig:
         return 2 if self.mode == MULTISET else 1
 
 
+def _witness_size(witnesses) -> int:
+    """The size the stored witnesses share; -1 with none."""
+    return witnesses[0].size if witnesses else -1
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """What a search or a resumed checkpoint found: for maximize and
@@ -152,7 +157,7 @@ class SearchResult:
     @property
     def best_size(self) -> int:
         """The witnesses' size; -1 for a proof without a witness."""
-        return self.witnesses[0].size if self.witnesses else -1
+        return _witness_size(self.witnesses)
 
     @property
     def found(self) -> bool | None:
@@ -288,8 +293,9 @@ class _Searcher:
             _write_checkpoint_file(self.cfg.checkpoint_path, None)
         # a proof's k, else the stored witnesses' size (-1 with none, so a
         # fresh run's root is its first record)
-        self.need = self.cfg.prove_k if self.cfg.target == PROVE else (
-            self.witnesses[0].size if self.witnesses else -1)
+        self.need = (
+            self.cfg.prove_k if self.cfg.target == PROVE else _witness_size(self.witnesses)
+        )
         try:
             self._process(replay, self._list())
         except _Stop:
@@ -484,9 +490,8 @@ class _Searcher:
         assert path is not None
         cfg, witnesses = self.cfg, self.witnesses
         found = cfg.target == PROVE and bool(witnesses)
-        best = witnesses[0].size if witnesses else -1
         header = (cfg.n, cfg.mode, cfg.target, cfg.prove_k)
-        header += (int(done), int(found), self.nodes, best)
+        header += (int(done), int(found), self.nodes, _witness_size(witnesses))
         lines = [_CKPT_MAGIC, *(f"{k} {v}" for k, v in zip(_CKPT_KEYS, header))]
         lines.append(f"prefix {len(self.stack)}")
         lines += [f"{a} {b} {c} {m}" for a, b, c, m in self._rows()]

@@ -278,8 +278,7 @@ def _run_capped(argv):
 
 
 def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
-    # the state is an n x n count matrix (32 MB here) plus the members;
-    # nothing of size n^3
+    # check's state grows with the members; nothing of size n^2 or n^3
     wide = family_from_triangles(2000, [(0, 1, 2), (0, 3, 4), (1997, 1998, 1999)])
     path = save(tmp_path, "wide.trifam", wide)
     proc = _run_capped(["check", path, "--porcelain"])
@@ -293,6 +292,18 @@ def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
     path = save(tmp_path, "huge.trifam", family_from_triangles(200_000, [(0, 1, 2)]))
     proc = _run_capped(["check", path])
     assert (proc.returncode, proc.stdout) == (OK, "rainbow-free\n"), proc.stderr
+
+    # the scan's state grows with the members even when all 300,000
+    # vertices are in the support: 100,000 disjoint triangles, where a
+    # count matrix would take 670 GiB and bitmasks on absolute vertex
+    # positions 3.5 GiB
+    disjoint = tmp_path / "disjoint.trifam"
+    disjoint.write_text(
+        "trifam 1\nmode set\nn 300000\n"
+        + "".join(f"{v} {v + 1} {v + 2}\n" for v in range(0, 300_000, 3))
+    )
+    proc = _run_capped(["check", str(disjoint), "--porcelain"])
+    assert (proc.returncode, proc.stdout) == (OK, "status=rainbow-free\n"), proc.stderr
 
     # running out of memory anyway still exits 3, with a message
     def no_memory(f):

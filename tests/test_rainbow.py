@@ -6,7 +6,7 @@ import itertools
 import random
 import tracemalloc
 
-from rainbowfree._accel import _hall3
+from rainbowfree._accel import _hall3, rainbow_triple_scan
 from rainbowfree.family import MULTISET, SET, family_from_triangles
 from rainbowfree.rainbow import (
     RainbowCertificate,
@@ -14,12 +14,13 @@ from rainbowfree.rainbow import (
     find_rainbow,
     has_rainbow,
     render_certificate,
+    scan_state,
     shared_edge_count,
     verify_certificate,
 )
 from rainbowfree.constructions import t_star
 
-from oracles import brute_has_rainbow, brute_rainbow_triples, random_family
+from oracles import brute_rainbow_triples, random_family
 
 
 def test_three_members_on_one_triple_is_rainbow():
@@ -119,15 +120,75 @@ def test_find_rainbow_matches_oracle_exhaustive_small():
 
 
 def test_find_rainbow_matches_oracle_random():
+    # set and multiset families on up to 9 vertices, every other one
+    # spread over up to 40 by an injection that need not keep vertex
+    # order, so the scan's support ranks differ from the labels
     rng = random.Random(41)
-    for _ in range(400):
-        n = rng.randint(3, 9)
+    for i in range(400):
+        k = rng.randint(3, 9)
         mode = rng.choice((SET, MULTISET))
-        f = random_family(rng, n, 7, mode)
+        f = random_family(rng, k, 7, mode)
+        if i % 2:
+            n = rng.randint(k, 40)
+            place = rng.sample(range(n), k)
+            f = family_from_triangles(
+                n, [tuple(place[v] for v in t) + (m,) for t, m in f.members], mode
+            )
         got = find_rainbow(f)
-        assert (got is not None) == brute_has_rainbow(f)
+        want = brute_rainbow_triples(f)
+        assert (got is not None) == bool(want)
         if got is not None:
+            assert got.triple == want[0]
             assert verify_certificate(f, got)
+
+
+class _Lookups(dict):
+    """A multiplicity mapping that records the keys looked up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.keys_read = []
+
+    def get(self, key, default=None):
+        self.keys_read.append(key)
+        return super().get(key, default)
+
+
+def _scan_lookups(f):
+    """The triple the scan reports, None for a rainbow-free family, and
+    the triples whose multiplicity it read, in order."""
+    sup, hi, cnt, mult = scan_state(f)
+    s = len(sup)
+    mult = _Lookups(mult)
+    packed = rainbow_triple_scan(hi, cnt, mult, s)
+
+    def unpack(code):
+        xy, z = divmod(code, s)
+        return (sup[xy // s], sup[xy % s], sup[z])
+
+    found = unpack(packed) if packed >= 0 else None
+    return found, [unpack(code) for code in mult.keys_read]
+
+
+def test_scan_visits_only_union_graph_triangles():
+    # t_star's union graph has no triangle but its members, so the scan
+    # reads the multiplicity of each of the 200 members once and of no
+    # other triple
+    rng = random.Random(27)
+    perm = rng.sample(range(40), 40)
+    f = family_from_triangles(40, [tuple(perm[v] for v in t) for t in t_star(40).support])
+    found, read = _scan_lookups(f)
+    assert found is None
+    assert len(read) == 200
+    assert sorted(read) == read == sorted(f.support)
+    # a member on a pair vertex and two apexes makes every pair vertex
+    # rainbow with the apexes; the reads stop at the first such triple
+    g = family_from_triangles(40, [*f.support, (perm[0], perm[20], perm[21])])
+    found, read = _scan_lookups(g)
+    assert read[-1] == found == find_rainbow(g).triple == brute_rainbow_triples(g)[0]
+    assert read == sorted(read)
+    members = set(g.support)
+    assert all(t in members for t in read[:-1])
 
 
 def test_find_rainbow_memory_follows_the_support():
