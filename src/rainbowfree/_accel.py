@@ -35,7 +35,10 @@ scans each edge once and shares the answer among every triangle on it
 and both multiplicities: a listing from scratch costs O(n^3) for the
 C(n,3) pool.  A search child's list is derived from its parent's: only
 the triangles that still extend the parent and meet the new member are
-tested again, and only on the edges that meet it.
+tested again, and every edge witness is scanned over the new member's
+three vertices alone, the only w whose counts the member changes.  A
+triangle meeting it in one vertex needs only its two edges there; its
+own triple is tested again only when it shares an edge with the member.
 
 The labeling DFS behind is_min_labeled and min_labeling gives each label
 only to the frontier, the unlabeled vertices of the members whose code
@@ -143,8 +146,9 @@ def rainbow_triple_scan(hi, cnt, mult, n):
     return -1
 
 
-def _edge_witness(cnt, codes, tm, n, a, b):
-    """Would some (a, b, w) turn rainbow once new copies own the edge (a, b)?
+def _edge_witness(cnt, codes, tm, n, a, b, ws):
+    """Would some (a, b, w), w in ws, turn rainbow once new copies own the
+    edge (a, b)?
 
     A new copy owns (a, b) and no other edge of (a, b, w) unless w is its
     opposite vertex.  For every other w, (a, b, w) becomes rainbow iff
@@ -152,11 +156,18 @@ def _edge_witness(cnt, codes, tm, n, a, b):
     as the cm copies of (a, b, w) own both, cnt[a][w] + cnt[b][w] - cm >= 2
     (the _hall3 test with c1 = cnt[a][b] + m reduces to this, because
     cnt[a][b] >= cm and m >= 1).  So the answer depends on the edge alone,
-    not on the number of copies or the opposite vertex.  Returns 1 if some
-    w qualifies, else 0.
+    not on the number of copies or the opposite vertex.
+
+    ws holds the w to try, a and b skipped: range(n) for the full witness.
+    When a member t has just been added to a family in which (a, b) had
+    no witness, ws is t's three vertices: the term for w reads the counts
+    of (a, w) and (b, w) and the multiplicity of (a, b, w), and adding t
+    changes counts only on the pairs inside t and no multiplicity but
+    t's, so only a w of t can have become a witness (see
+    list_extensions).  Returns 1 if some w qualifies, else 0.
     """
     ra, rb = cnt[a], cnt[b]
-    for w in range(n):
+    for w in ws:
         if w == a or w == b:
             continue
         caw = ra[w]
@@ -174,7 +185,7 @@ def _edge_witness(cnt, codes, tm, n, a, b):
     return 0
 
 
-def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
+def _after_add(cnt, codes, tm, n, x, y, z, m, wit, ws):
     """Would adding m copies of (x, y, z), x < y < z, create a rainbow triple?
 
     Assumes the current family is rainbow-free, so only triples using an
@@ -183,9 +194,12 @@ def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
     turns rainbow iff _edge_witness(a, b) is 1.  A witness w equal to the
     opposite vertex needs no exclusion: its test reads the counts of
     (a, w) and (b, w) without the new copies, and with them the own
-    triple passes the test above.  wit maps a*n+b to _edge_witness(a, b)
-    for the edges already scanned, for every m and every triangle on the
-    edge.  Returns 1 if a rainbow appears.
+    triple passes the test above.  wit maps a*n+b to the witness of (a, b)
+    over ws for the edges already scanned, for every m and every triangle
+    on the edge.  ws goes to _edge_witness: range(n), or in a child's
+    listing the new member's vertices, where the edges of every listed
+    triangle had no witness before it was added (see list_extensions).
+    Returns 1 if a rainbow appears.
     """
     own = _mult(codes, tm, (x * n + y) * n + z) + m
     rx = cnt[x]
@@ -195,7 +209,7 @@ def _after_add(cnt, codes, tm, n, x, y, z, m, wit):
         e = a * n + b
         w = wit.get(e)
         if w is None:
-            w = wit[e] = _edge_witness(cnt, codes, tm, n, a, b)
+            w = wit[e] = _edge_witness(cnt, codes, tm, n, a, b, ws)
         if w == 1:
             return 1
     return 0
@@ -207,7 +221,7 @@ def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
     Assumes the current family is rainbow-free.  Returns 1 if a rainbow
     appears; _after_add holds the rule.
     """
-    return _after_add(cnt, codes, tm, n, x, y, z, add_m, {})
+    return _after_add(cnt, codes, tm, n, x, y, z, add_m, {}, range(n))
 
 
 def list_extensions(
@@ -227,39 +241,54 @@ def list_extensions(
     Without parent, every triangle is tested for every multiplicity up to
     max_mult: a listing from scratch, O(n^3) for the C(n,3) pool.
 
-    With parent, the list of the family without its member (x, y, z),
+    With parent, the list of the family without its member t = (x, y, z),
     x < y < z, for the same max_mult and a start no later than this one,
-    only what that member changes is tested again:
+    only what t changes is tested again.  Adding t changes owner counts
+    only on the pairs inside {x, y, z} and changes no multiplicity but
+    t's.  Every triangle with a nonzero parent entry had all three edge
+    witnesses 0 in the parent, and a witness w of an edge (a, b) reads
+    only the counts of (a, w) and (b, w) and the multiplicity of
+    (a, b, w), which can change only when w is one of x, y, z.  So:
     - a parent entry of 0 stays 0, as rainbow triples stay rainbow when
       copies are added, and a parent entry of 1 caps the entry at 1;
-    - a triangle sharing no vertex with the member keeps its entry: its
-      edges' owner counts, the counts its edge witnesses read and the
-      multiplicities they look up are all unchanged;
-    - the other triangles are tested for the multiplicities their parent
-      entry allows; an edge of theirs that misses the member keeps its
-      witness, which is 0 under a nonzero parent entry, so only the edges
-      meeting the member are scanned.
+    - every edge witness is scanned over x, y and z alone;
+    - a triangle sharing no vertex with t keeps its entry;
+    - a triangle meeting t in one vertex p keeps its own triple's counts
+      and multiplicity, and its edge missing p keeps its witness, so it
+      keeps its entry unless one of its two edges at p gains a witness;
+    - a triangle sharing an edge with t, or t itself, is tested by the
+      rule of _after_add for the multiplicities its parent entry allows.
     """
     total = len(pool_a)
     if parent is None:
         parent = [max_mult] * total
         hit = [True] * n
+        ws = range(n)
     else:
         hit = [False] * n
         hit[x] = hit[y] = hit[z] = True
+        ws = (x, y, z)
     wit: dict[int, int] = {}
     out[start:] = parent[start:]
     for idx in itertools.compress(range(start, total), parent[start:]):
         a, b, c = pool_a[idx], pool_b[idx], pool_c[idx]
         ha, hb, hc = hit[a], hit[b], hit[c]
-        if not (ha or hb or hc):
+        k = ha + hb + hc
+        if k == 0:
             continue
-        if ha + hb + hc == 1:
-            # the edge missing the member kept its witness, 0 here
-            wit[b * n + c if ha else a * n + c if hb else a * n + b] = 0
-        if _after_add(cnt, codes, tm, n, a, b, c, 1, wit) == 1:
+        if k == 1:
+            # the two edges at the shared vertex
+            for u, v in ((a, b), (a, c)) if ha else ((a, b), (b, c)) if hb else ((a, c), (b, c)):
+                e = u * n + v
+                w = wit.get(e)
+                if w is None:
+                    w = wit[e] = _edge_witness(cnt, codes, tm, n, u, v, ws)
+                if w == 1:
+                    out[idx] = 0
+                    break
+        elif _after_add(cnt, codes, tm, n, a, b, c, 1, wit, ws) == 1:
             out[idx] = 0
-        elif out[idx] == 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit) == 1:
+        elif out[idx] == 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit, ws) == 1:
             out[idx] = 1
     return sum(out[start:])
 
@@ -603,10 +632,16 @@ def min_labeling(mem, n, out_lab, target=None):
     early do not change which one.  Returns 2.
 
     With target, a sorted list of member codes (see member_codes), the
-    walk compares the minimum with it and stops once that is decided:
-    it returns 0 when the minimum is below the target, 1 when it equals
-    it, and 2 when it is above.  After a 0 or a 1, out_lab holds the
-    labeling whose codes decided it, not necessarily a minimal one.
+    walk stops at its first greedy dive whose codes are not above the
+    target: it returns 0 when they are below it, so the minimum is too,
+    and 1 when they equal it; it returns 2 when it ends with the minimum
+    above the target.  After a 0 or a 1, out_lab holds that dive's
+    labeling, not necessarily a minimal one.  When the target is itself a
+    minimum, the canonical codes of some family as in
+    canon.are_isomorphic, the three answers say that the minimum is below,
+    equal to or above it.  For other targets a 1 says only that some
+    labeling attains the target: a dive may tie a family's own codes
+    before the walk meets a smaller labeling.
     """
     out_lab[:] = [-1] * n
     return _label_dfs(mem, n, None, 0, out_lab, target=target)

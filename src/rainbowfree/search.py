@@ -38,12 +38,17 @@ only the node count depends on the cuts.
 
 Each node redoes only what its newest member changes. A child's
 extension list is derived from its parent's (see
-_accel.list_extensions), and a child's canonicity walk starts from the
-parent's automorphisms that map the new member's vertex set onto itself,
-which are automorphisms of the child too. Any automorphisms leave the
-walk's verdict unchanged, so they change its speed only. Nodes replayed
-from a checkpoint have no walk and hand their children none, so resumed
-runs make the same canonicity calls as one uninterrupted run.
+_accel.list_extensions): only the listed triangles meeting the new
+member are tested again, each edge witness is scanned over the member's
+three vertices, and only a triangle sharing an edge with it has its own
+triple tested again. A child's canonicity walk starts from the parent's
+automorphisms that map the new member's vertex set onto itself, which
+are automorphisms of the child too. Any automorphisms leave the walk's
+verdict unchanged, so they change its speed only. Nodes replayed from a
+checkpoint have no walk and hand their children none, and a resume
+checks its checkpoint's families with the walk behind is_min_labeled,
+entered below that function (see _check_canonical), so resumed runs
+make the same canonicity calls as one uninterrupted run.
 
 Targets share one engine, and its witnesses are its only record of what
 it found. Every cut and record compares with one size, need: for prove
@@ -64,13 +69,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ._accel import (
+    _label_dfs,
     add_member,
     build_pool,
     is_min_labeled,
     list_extensions,
+    member_codes,
     rainbow_after_add,
 )
-from .canon import canonical_relabeling
 from .family import (
     MODES,
     MULTISET,
@@ -527,9 +533,11 @@ def write_atomic(path: str, payload: str | None) -> None:
         # made as open makes a file, 0666 less the umask, not mkstemp's 0600
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp = name
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload or "")
-        if payload is not None:
+        if payload is None:
+            os.close(fd)
+        else:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
             if os.path.exists(path):
                 os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
             os.replace(tmp, path)
@@ -671,9 +679,16 @@ def _check_canonical(path: str, state: dict) -> None:
     would visit classes again or report a class twice.
 
     Every prefix of a canonical prefix is canonical (see the module
-    docstring), so the deepest prefix family stands for them all.  The
-    test runs min_labeling, not is_min_labeled, so a resumed run makes
-    the canonicity calls of one uninterrupted run.
+    docstring), so the deepest prefix family stands for them all.  Each
+    family takes the walk of is_min_labeled, entered below that function
+    so a resumed run makes the canonicity calls of one uninterrupted run.
+    It prunes with the family's own codes from its first node and stops
+    at the first labeling certain to be below them, with no greedy dive,
+    where min_labeling would first find the least labeling to compare it.
+    A target walk (min_labeling with the family's own codes as target)
+    would not do: it stops at the first dive that ties the target, and a
+    dive can tie a family's own codes when a smaller labeling exists, as
+    on (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 5), (1, 2, 3).
     """
     try:
         prefix = TriangleFamily(state["n"], state["prefix"], state["mode"])
@@ -682,7 +697,8 @@ def _check_canonical(path: str, state: dict) -> None:
     named = [("checkpoint prefix", prefix)]
     named += [(f"stored witness {i}", w) for i, w in enumerate(state["witnesses"], 1)]
     for name, f in named:
-        if canonical_relabeling(f)[1].members != tuple(sorted(f.members)):
+        rows = [(*t, m) for t, m in sorted(f.members)]
+        if _label_dfs(rows, f.n, member_codes(rows, f.n), 1, None):
             raise SearchError(f"{path}: {name} is not canonically labeled")
 
 

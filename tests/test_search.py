@@ -13,9 +13,21 @@ from pathlib import Path
 
 import pytest
 
+import rainbowfree._accel as accel_module
 import rainbowfree.search as search_module
-from rainbowfree._accel import add_member, build_pool, list_extensions
-from rainbowfree.canon import are_isomorphic, canonical_form, canonical_relabeling
+from rainbowfree._accel import (
+    add_member,
+    build_pool,
+    list_extensions,
+    member_codes,
+    min_labeling,
+)
+from rainbowfree.canon import (
+    are_isomorphic,
+    canonical_form,
+    canonical_relabeling,
+    is_canonical,
+)
 from rainbowfree.constructions import doubled_nine, pair_family
 from rainbowfree.family import (
     MULTISET,
@@ -745,12 +757,23 @@ def test_list_extensions_matches_brute_force():
                 assert cap == sum(want[start:])
 
 
-def test_parent_derived_lists_match_full_listings():
+def test_parent_derived_lists_match_full_listings(monkeypatch):
     # along random increasing walks, each child's list derived from its
-    # parent's equals a listing from scratch, entry for entry
+    # parent's equals a listing from scratch, entry for entry, and runs
+    # the rule of _after_add only on the listed triangles that share an
+    # edge with the new member: one meeting it in a single vertex reads
+    # its two edge witnesses there and keeps its own-triple test
+    tested = []
+    real = accel_module._after_add
+
+    def spy(cnt, codes, tm, n, a, b, c, *rest):
+        tested.append((a, b, c))
+        return real(cnt, codes, tm, n, a, b, c, *rest)
+
+    monkeypatch.setattr(accel_module, "_after_add", spy)
     rng = random.Random(19)
-    for trial in range(40):
-        n = 6 + trial % 5
+    for trial in range(42):
+        n = 6 + trial % 7
         mode = (SET, MULTISET)[trial % 2]
         max_mult = 2 if mode == MULTISET else 1
         pool, pool_a, pool_b, pool_c = build_pool(n)
@@ -773,10 +796,70 @@ def test_parent_derived_lists_match_full_listings():
             args = (cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult)
             full, child = [-1] * len(pool), [-1] * len(pool)
             cap = list_extensions(*args, full)
+            tested.clear()
             assert list_extensions(*args, child, parent, *pool[idx]) == cap, members
             assert child == full, members
+            sharing = {
+                pool[i]
+                for i in range(start, len(pool))
+                if parent[i] and len(set(pool[i]) & set(pool[idx])) == 2
+            }
+            assert set(tested) == sharing, members
             assert cap == sum(full[start:])
             parent = child
+
+
+def _first_dive_image(f):
+    """f relabeled by the first greedy dive of its labeling walk, so a
+    target walk on the image's own codes ties them at that dive."""
+    lab: list[int] = []
+    rows = [(*t, m) for t, m in sorted(f.members)]
+    # a target above every code: the walk stops after its first dive
+    min_labeling(rows, f.n, lab, [4 * (f.n + 2) ** 3])
+    spare = iter(v for v in range(f.n) if v not in lab)
+    new = [l if l >= 0 else next(spare) for l in lab]
+    members = sorted((tuple(sorted(new[v] for v in t)), m) for t, m in f.members)
+    return TriangleFamily(f.n, tuple(members), f.mode)
+
+
+def test_checkpoint_check_agrees_with_canonical_labeling():
+    # a resume refuses a prefix family or a stored witness exactly when it
+    # is not canonically labeled, gaps in the support and no members included
+    gap = family_from_triangles(8, [(0, 1, 2), (0, 1, 5), (2, 5, 7)], SET)
+    # a target walk on this family's own codes ties them at its first
+    # dive, though a smaller labeling exists: no canonicity test
+    tied = family_from_triangles(6, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 5), (1, 2, 3)])
+    rows = [(*t, m) for t, m in sorted(tied.members)]
+    assert min_labeling(rows, 6, [], member_codes(rows, 6)) == 1
+    assert not is_canonical(tied)
+    families = [TriangleFamily(5, (), SET), TriangleFamily(5, (), MULTISET), gap, tied]
+    rng = random.Random(28)
+    for trial in range(300):
+        f = random_family(rng, rng.randint(3, 8), 10, (SET, MULTISET)[trial % 2])
+        families += [f, _first_dive_image(f)]
+    verdicts = collections.Counter()
+    for f in families:
+        want = canonical_relabeling(f)[1].members == tuple(sorted(f.members))
+        assert is_canonical(f) is want, f
+        for prefix, witnesses in ((f.members, ()), ((), (f,))):
+            state = {"n": f.n, "mode": f.mode, "prefix": prefix, "witnesses": witnesses}
+            try:
+                search_module._check_canonical("ck", state)
+                got = True
+            except SearchError:
+                got = False
+            assert got is want, f
+        verdicts[want] += 1
+    assert min(verdicts[True], verdicts[False]) > 100
+
+
+def test_writability_probe_leaves_nothing(tmp_path):
+    path = tmp_path / "run.ckpt"
+    search_module.write_atomic(str(path), None)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(OSError) as err:
+        search_module.write_atomic(str(tmp_path / "missing" / "run.ckpt"), None)
+    assert ".ckpt-" not in str(err.value)
 
 
 @pytest.mark.parametrize(
