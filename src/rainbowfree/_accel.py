@@ -33,7 +33,8 @@ edges (a, b).  For w off the triangle the latter is a property of the
 edge alone, its edge witness (see _edge_witness), so list_extensions
 scans each edge once and shares the answer among every triangle on it
 and both multiplicities: a listing from scratch costs O(n^3) for the
-C(n,3) pool.  A search child's list is derived from its parent's: only
+C(n,3) pool, and the search root's, with no members, is written without
+a test.  A search child's list is derived from its parent's: only
 the triangles that still extend the parent and meet the new member are
 tested again, and every edge witness is scanned over the new member's
 three vertices alone, the only w whose counts the member changes.  A
@@ -42,8 +43,9 @@ own triple is tested again only when it shares an edge with the member.
 
 The labeling DFS behind is_min_labeled and min_labeling gives each label
 only to the frontier, the unlabeled vertices of the members whose code
-bound is least (see _bounds), and prunes with the automorphisms it
-meets; is_min_labeled also starts from automorphisms
+bound is least (see _bounds), and prunes later siblings with the
+automorphisms it meets, building their orbits only when it tries such a
+sibling (see _label_dfs); is_min_labeled also starts from automorphisms
 its caller already knows and hands back those it holds on an accept, so
 a search seeds each child's walk with its parent's.  min_labeling can
 also compare its walk with a target code sequence (member_codes of
@@ -239,7 +241,9 @@ def list_extensions(
     Each triangle is tested by the rule of _after_add with one edge cache
     for the whole call, so each edge is scanned for witnesses at most once.
     Without parent, every triangle is tested for every multiplicity up to
-    max_mult: a listing from scratch, O(n^3) for the C(n,3) pool.
+    max_mult: a listing from scratch, O(n^3) for the C(n,3) pool.  A
+    family with no members, the search root, needs no test: every entry
+    is max_mult, which is at most 2.
 
     With parent, the list of the family without its member t = (x, y, z),
     x < y < z, for the same max_mult and a start no later than this one,
@@ -260,6 +264,11 @@ def list_extensions(
       rule of _after_add for the multiplicities its parent entry allows.
     """
     total = len(pool_a)
+    if parent is None and not codes:
+        # no members: no edge has an owner, and two copies of one triangle
+        # admit no rainbow, so every entry is max_mult without a test
+        out[start:] = [max_mult] * (total - start)
+        return max_mult * (total - start)
     if parent is None:
         parent = [max_mult] * total
         hit = [True] * n
@@ -299,6 +308,17 @@ def _orbit_root(par, x):
         par[x] = par[par[x]]
         x = par[x]
     return x
+
+
+def _moves(g):
+    """The bitmask of the positions permutation g moves, and its
+    (position, image) pairs there: g fixes a prefix iff the mask misses
+    the prefix's positions, and its orbits merge over the pairs alone."""
+    pairs = [(i, j) for i, j in enumerate(g) if i != j]
+    mask = 0
+    for i, _ in pairs:
+        mask |= 1 << i
+    return mask, pairs
 
 
 def _bounds(mem, lab, nass, r):
@@ -472,6 +492,17 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     too.  best, out_lab and the return value are therefore the same as
     without pruning.
 
+    Orbits are built only when they can skip something.  A new prefix's
+    first child is its least frontier position, which the same argument
+    makes least in its orbit, so it is taken with no orbit work.  A
+    level's orbits, a union-find forest over the positions, are built
+    when the walk returns to that level to try a later sibling, and then
+    absorb only the automorphisms stored since.  Each stored automorphism
+    keeps the bitmask of the positions it moves and its (position, image)
+    pairs there, and each level keeps the bitmask of its prefix's
+    positions: an automorphism fixes the prefix iff the two masks are
+    disjoint, and its orbits merge over the moved pairs alone.
+
     The argument holds for any automorphisms, so the stored list starts
     from seed, automorphisms known in advance as permutations of support
     positions; they count toward its cap of 2s + 8.  When the walk ends
@@ -503,6 +534,9 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
             return 1 if best == target else 0
     max_gens = 2 * s + 8
     gens: list[list[int]] = list(seed[:max_gens])
+    moves = [_moves(g) for g in gens]
+    # fixed[l]: the bitmask of the prefix's positions choice[:l]
+    fixed = [0] * (s + 1)
     # per level: orbit forest of the stored automorphisms fixing the
     # prefix, and how many of them it has absorbed (-1: not built)
     par: list[list[int]] = [[] for _ in range(s)]
@@ -510,13 +544,16 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     level = 0 if s else -1  # no members: the empty labeling is the only one
     while level >= 0:
         prev = choice[level]
-        if prev >= 0:
-            lab[prev] = -1
-            rest = front[level] >> (prev + 1) << (prev + 1)
+        if prev < 0:
+            # a new prefix: its automorphisms map the frontier onto itself,
+            # so the least frontier position is least in its orbit
+            seen[level] = -1
+            c = (front[level] & -front[level]).bit_length() - 1
+            rest = 0
         else:
-            seen[level] = -1  # new prefix
-            rest = front[level]
-        c = -1
+            lab[prev] = -1
+            c = -1
+            rest = front[level] >> (prev + 1) << (prev + 1)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -527,21 +564,18 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
                 par[level] = list(range(s))
                 seen[level] = 0
             orb = par[level]
-            for g in gens[seen[level] :]:
-                for j in range(level):
-                    if g[choice[j]] != choice[j]:
-                        break
-                else:
-                    # g fixes the prefix: merge its orbits
-                    for i in range(s):
-                        if g[i] == i:
-                            continue
-                        ra = _orbit_root(orb, i)
-                        rb = _orbit_root(orb, g[i])
-                        if ra < rb:
-                            orb[rb] = ra
-                        elif rb < ra:
-                            orb[ra] = rb
+            pre = fixed[level]
+            for mask, pairs in moves[seen[level] :]:
+                if mask & pre:
+                    continue
+                # it fixes the prefix: merge its orbits over the points it moves
+                for i, j in pairs:
+                    ra = _orbit_root(orb, i)
+                    rb = _orbit_root(orb, j)
+                    if ra < rb:
+                        orb[rb] = ra
+                    elif rb < ra:
+                        orb[ra] = rb
             seen[level] = len(gens)
             if _orbit_root(orb, c) == c:
                 break
@@ -552,6 +586,7 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
             continue
         choice[level] = c
         lab[c] = level
+        fixed[level + 1] = fixed[level] | 1 << c
         vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
         if vec != best:
             if vec > best:
@@ -578,6 +613,7 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
                 for i in range(s):
                     g[choice[i]] = bpath[i]
                 gens.append(g)
+                moves.append(_moves(g))
             if choice[d] < bpath[d]:
                 # this labeling comes first in position order
                 emit(lab)

@@ -36,6 +36,11 @@ already assigned.  Such a subtree mirrors an explored one code for code,
 so it could only produce ties, which never replace the earlier labeling:
 forms, maps and verdicts are exactly those of the unpruned search, and
 families with huge automorphism groups such as t_star(32) stay cheap.
+The first choice at a node is its least frontier vertex, which is least
+in its orbit too, so orbits are built only when the DFS comes back to a
+node for a later sibling.  Each automorphism keeps the bitmask of the
+positions it moves: whether it fixes the labeled ones is one AND, and
+its orbits merge over the moved positions alone.
 Support vertices always receive labels 0..s-1 in a canonical labeling;
 collapsing label gaps never increases the sequence.
 

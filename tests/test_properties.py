@@ -188,6 +188,43 @@ def test_frontier_children_hold_every_minimal_completion(f, rnd):
             assert all(seq > child[u] for u in on)
 
 
+@PROPERTY
+@given(st.integers(3, 7).flatmap(families), st.randoms(use_true_random=False))
+def test_least_frontier_position_is_least_in_its_orbit(f, rnd):
+    # the labeling DFS takes a new prefix's first child, its least frontier
+    # position, with no orbit work: the automorphisms fixing the prefix map
+    # the frontier onto itself, so no smaller position shares its orbit
+    _, image = canonical_relabeling(f)
+    rows = sorted((*t, m) for t, m in image.members)
+    s = len({v for t, _ in image.members for v in t})
+    gens = []
+    assert is_min_labeled(rows, image.n, (), gens) == 1
+    if not s:
+        return
+    # the image's support is 0..s-1, so positions are vertices; the prefix
+    # goes through the frontier like the walk's
+    lab = [-1] * image.n
+    prefix = []
+    for l in range(rnd.randrange(s)):
+        front = _bounds(rows, lab, l, image.n + 2)[2]
+        v = rnd.choice([u for u in range(s) if front >> u & 1])
+        lab[v] = l
+        prefix.append(v)
+    front = _bounds(rows, lab, len(prefix), image.n + 2)[2]
+    least = (front & -front).bit_length() - 1
+    for group in (gens, brute_automorphisms(image)):
+        fixing = [g for g in group if all(g[v] == v for v in prefix)]
+        orbit, todo = {least}, [least]
+        while todo:
+            u = todo.pop()
+            for g in fixing:
+                if g[u] not in orbit:
+                    orbit.add(g[u])
+                    todo.append(g[u])
+        assert min(orbit) == least
+        assert all(front >> u & 1 for u in orbit)
+
+
 same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), families(n)))
 
 
