@@ -11,11 +11,14 @@ The extension kernels take a family as cnt, the symmetric edge owner
 counts as a list of n rows, codes, the members' packed triples
 (a*n+b)*n+c ascending, and tm, their multiplicities.  A triple's own
 multiplicity is found in codes by binary search, so no kernel input
-grows with n^3.  The rainbow scan takes the union graph as one bitmask
-of higher neighbours per vertex, relative to the vertex, with one dict
-of owner counts per vertex and one of multiplicities keyed by packed
-triples, so its input grows with the members; it visits only the
-triangles of the union graph, where every rainbow triple lies.
+grows with n^3.  rainbow_after_add reads only the rows of its
+triangle's three vertices, so a caller may pass just those, keyed by
+vertex, and of codes only the triples holding two of those vertices.
+The rainbow scan takes the union graph as one bitmask of higher
+neighbours per vertex, relative to the vertex, with one dict of owner
+counts per vertex and one of multiplicities keyed by packed triples, so
+its input grows with the members; it visits only the triangles of the
+union graph, where every rainbow triple lies.
 The labeling DFS takes the member rows (a, b, c, m) in ascending order
 and works out the support from them.
 
@@ -221,7 +224,8 @@ def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
     """Would adding add_m copies of (x, y, z), x < y < z, create a rainbow?
 
     Assumes the current family is rainbow-free.  Returns 1 if a rainbow
-    appears; _after_add holds the rule.
+    appears; _after_add holds the rule.  Only cnt[x], cnt[y] and cnt[z]
+    are read.
     """
     return _after_add(cnt, codes, tm, n, x, y, z, add_m, {}, range(n))
 

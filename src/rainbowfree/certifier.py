@@ -12,10 +12,15 @@ For families of the extremal size n^2/8 it also checks the structural
 facts that force the family to be t_star: no member inside B, the four
 colored-multigraph properties, and the matched-pairs decomposition.
 
-With no member inside B, a member's beta edge is its only B-edge, so the
-projected multigraph comes straight from beta, each edge colored by its
-member's third vertex (in A). P2, P3 and P4 read one per-vertex index of
-its edges; P3 groups the distinct edges at each vertex by color.
+Apart from the rainbow scan and the exact independent-set solver, each
+step is one pass over the members or over the edges. One pass over the
+members counts each one's vertices in B: two give its beta edge and, as
+its color, its third vertex (in A); three fail step1. So with no member
+inside B the projected multigraph comes straight from that pass. Each
+witness reads only its own B-edges, from a per-vertex index of them
+built once in ascending edge order. P2, P3 and P4 read, per vertex, its
+degree and the far ends of its edges grouped by color; P2 looks at each
+distinct edge once, once per color present at both its ends.
 
 A is the lexicographically least maximum independent set, found by an
 exact solver that takes each connected component of the union graph
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .constructions import is_tstar_family
 from .family import (
@@ -76,13 +82,30 @@ class Bipartition:
     b: tuple[Vertex, ...]
     e_b: tuple[Edge, ...]
 
+    @cached_property
+    def edges_at(self) -> dict[Vertex, list[Edge]]:
+        """The edges of e_b at each B-vertex, in e_b's order."""
+        at: dict[Vertex, list[Edge]] = {v: [] for v in self.b}
+        for e in self.e_b:
+            for v in e:
+                here = at.get(v)
+                if here is not None:
+                    here.append(e)
+        return at
+
 
 @dataclass(frozen=True)
 class BetaAssignment:
-    """Choice of one B-edge per member; preimage lists each edge's copies in order."""
+    """Choice of one B-edge per member; preimage lists each edge's copies in order.
+
+    colored pairs each copy's edge with its member's third vertex, the
+    color, in copy order; it is None when some member lies inside B, so
+    that step1 fails.
+    """
 
     beta: dict[MemberRef, Edge]
     preimage: dict[Edge, list[MemberRef]]
+    colored: tuple[tuple[Edge, Vertex], ...] | None
 
     @property
     def d(self) -> dict[Edge, int]:
@@ -172,7 +195,7 @@ def max_independent_set(g: UnionGraph) -> tuple[Vertex, ...]:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            dv = bin(adj[v] & mask).count("1")
+            dv = (adj[v] & mask).bit_count()
             if dv <= 1:
                 # safe reduction: some maximum set keeps v
                 result = 1 + mis_size(mask & ~(adj[v] | (1 << v)))
@@ -228,39 +251,50 @@ def bipartition(g: UnionGraph) -> Bipartition:
     return Bipartition(a, b, e_b)
 
 
-def _member_edges_in_b(t: tuple[int, int, int], b_set: set[int]) -> list[Edge]:
-    return [e for e in triangle_edges(t) if e[0] in b_set and e[1] in b_set]
-
-
 def build_beta(f: TriangleFamily, g: UnionGraph, p: Bipartition) -> BetaAssignment:
     """Assign each member one of its edges lying inside B.
 
-    A member with a single B-edge takes it. A member entirely inside B
-    takes the edge it shares with another member when one exists (there
-    is at most one in a rainbow-free family), otherwise its
-    lexicographically least B-edge.
+    One pass over the members counts each one's vertices in B. A member
+    with two there takes the edge between them, colored by its third
+    vertex. A member entirely inside B takes the edge it shares with
+    another member when one exists (there is at most one in a
+    rainbow-free family), otherwise its lexicographically least B-edge;
+    it fails step1, and colored is None.
     """
-    b_set = set(p.b)
+    in_b = [False] * f.n
+    for v in p.b:
+        in_b[v] = True
     beta: dict[MemberRef, Edge] = {}
     preimage: dict[Edge, list[MemberRef]] = {e: [] for e in p.e_b}
-    for ref, t in f.member_copies():
-        inside = _member_edges_in_b(t, b_set)
-        if not inside:
-            raise CertifierError(
-                f"member {t} has no edge inside B: partition or family invalid"
-            )
-        if len(inside) == 1:
-            pick = inside[0]
-        else:
-            shared = [e for e in inside if len(g.owners[e]) >= 2]
+    colored: list[tuple[Edge, Vertex]] | None = []
+    for i, (t, m) in enumerate(f.members):
+        a, b, c = t
+        x, y, z = in_b[a], in_b[b], in_b[c]
+        if x and y and z:
+            shared = [e for e in triangle_edges(t) if len(g.owners[e]) >= 2]
             if len(shared) > 1:
                 raise CertifierError(
                     f"member {t} shares {len(shared)} edges: family has a rainbow"
                 )
-            pick = shared[0] if shared else min(inside)
-        beta[ref] = pick
-        preimage.setdefault(pick, []).append(ref)
-    return BetaAssignment(beta, preimage)
+            pick = shared[0] if shared else (a, b)
+            colored = None
+        elif y and z:
+            pick, color = (b, c), a
+        elif x and z:
+            pick, color = (a, c), b
+        elif x and y:
+            pick, color = (a, b), c
+        else:
+            raise CertifierError(
+                f"member {t} has no edge inside B: partition or family invalid"
+            )
+        refs = preimage.setdefault(pick, [])
+        for k in range(m):
+            beta[i, k] = pick
+            refs.append((i, k))
+            if colored is not None:
+                colored.append((pick, color))
+    return BetaAssignment(beta, preimage, None if colored is None else tuple(colored))
 
 
 def build_witness(
@@ -272,12 +306,11 @@ def build_witness(
     several contributors each picks its own vertex outside e. Distinct
     picks and independence are verified, not assumed.
     """
-    if b not in set(p.b):
+    edges = p.edges_at.get(b)
+    if edges is None:
         raise CertifierError(f"witness vertex {b} is not in B")
     picks: dict[Vertex, MemberRef] = {}
-    for e in p.e_b:
-        if b not in e:
-            continue
+    for e in edges:
         contributors = beta.preimage.get(e, [])
         for ref in contributors:
             t = f.members[ref[0]][0]
@@ -319,10 +352,28 @@ def check_master_chain(
     return lhs <= mid and mid <= rhs, (lhs, mid, rhs)
 
 
-def check_step1(f: TriangleFamily, p: Bipartition) -> bool:
-    """No member may have all three vertices inside B."""
-    b_set = set(p.b)
-    return all(not set(t) <= b_set for t, _ in f.members)
+def _path_ends_differ(
+    fu: dict[Vertex, set[Vertex]], fw: dict[Vertex, set[Vertex]], u: Vertex, w: Vertex
+) -> bool:
+    """Do the end edges of every 3-edge path x-u-w-y, x != y, differ in color?
+
+    fu and fw map each color at u and at w to the far ends of its edges
+    there; the middle edge's color plays no part. For a color c at both
+    ends, with X the far ends of u's c-edges other than w and Y those of
+    w's other than u, an x in X and a y in Y with x != y exist iff X and
+    Y are both nonempty and not one and the same vertex.
+    """
+    if len(fw) < len(fu):
+        u, w, fu, fw = w, u, fw, fu
+    for c, xs in fu.items():
+        ys = fw.get(c)
+        if ys is None:
+            continue
+        nx = len(xs) - (w in xs)
+        ny = len(ys) - (u in ys)
+        if nx and ny and (nx > 1 or ny > 1 or xs - {w} != ys - {u}):
+            return False
+    return True
 
 
 def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
@@ -334,48 +385,35 @@ def check_tb_properties(g: ColoredMultigraph) -> tuple[bool, bool, bool, bool]:
     copy). P4: every vertex has degree m, multiplicities counted.
     """
     count: dict[Edge, int] = {}
-    at: dict[Vertex, list[tuple[Edge, Vertex]]] = {v: [] for v in g.vertices}
+    deg: dict[Vertex, int] = {v: 0 for v in g.vertices}
     nbr: dict[Vertex, int] = {v: 0 for v in g.vertices}
+    # far[v][c]: the far ends of v's edges of color c
+    far: dict[Vertex, dict[Vertex, set[Vertex]]] = {v: {} for v in g.vertices}
     for e, c in g.edges:
         u, w = e
         count[e] = count.get(e, 0) + 1
-        at[u].append((e, c))
-        at[w].append((e, c))
+        deg[u] += 1
+        deg[w] += 1
         nbr[u] |= 1 << w
         nbr[w] |= 1 << u
+        far[u].setdefault(c, set()).add(w)
+        far[w].setdefault(c, set()).add(u)
 
     # a triangle is an edge whose ends share a neighbour
     p1 = not any(nbr[u] & nbr[w] for u, w in count)
 
-    # 3-edge paths e1,e2,e3 on 4 distinct vertices: ends must differ in
-    # color; the middle edge's color plays no part, so each distinct edge
-    # is a middle edge once, however many copies it has
-    p2 = True
-    for u, w in count:
-        for e1, c1 in at[u]:
-            if w in e1:
-                continue
-            for e3, c3 in at[w]:
-                if u in e3:
-                    continue
-                x = e1[0] if e1[1] == u else e1[1]
-                y = e3[0] if e3[1] == w else e3[1]
-                if x == y:
-                    continue
-                if c1 == c3:
-                    p2 = False
+    # each distinct edge is the middle of its 3-edge paths once, however
+    # many copies it has
+    p2 = all(_path_ends_differ(far[u], far[w], u, w) for u, w in count)
 
-    # two same-colored edges sharing a vertex both lie in its index
-    p3 = True
-    for v in g.vertices:
-        by_color: dict[Vertex, set[Edge]] = {}
-        for e, c in at[v]:
-            by_color.setdefault(c, set()).add(e)
-        for es in by_color.values():
-            if len(es) >= 2 and any(count[e] > 1 for e in es):
-                p3 = False
+    # two same-colored edges at a vertex must both be simple
+    p3 = not any(
+        len(xs) >= 2 and any(count[(v, x) if v < x else (x, v)] > 1 for x in xs)
+        for v, by_color in far.items()
+        for xs in by_color.values()
+    )
 
-    p4 = all(len(at[v]) == g.m for v in g.vertices)
+    p4 = all(d == g.m for d in deg.values())
     return p1, p2, p3, p4
 
 
@@ -426,6 +464,7 @@ def certify(f: TriangleFamily) -> CertifierReport:
     support = f
     if f.mode == MULTISET:
         support = family_from_triangles(f.n, list(f.support), SET)
+    size = support.size
     g = union_graph(support)
     p = bipartition(g)
     beta = build_beta(support, g, p)
@@ -434,28 +473,24 @@ def certify(f: TriangleFamily) -> CertifierReport:
     eq2_rows = tuple((w.b, len(w.i_b), len(w.i_b) == len(p.a)) for w in witnesses)
     eq1_val = sum(s for _, s, _ in eq2_rows)
     chain_ok, chain_vals = check_master_chain(support, p)
-    step1 = check_step1(support, p)
+    step1 = beta.colored is not None
     tb_props: tuple[bool, bool, bool, bool] | None = None
     matched: bool | None = None
-    if step1:
-        # beta took each member's only B-edge; its third vertex (in A) is the color
-        edges = tuple(
-            (e, sum(support.members[i][0]) - sum(e)) for (i, _), e in beta.beta.items()
-        )
-        tb = ColoredMultigraph(p.b, edges, len(p.b))
+    if beta.colored is not None:
+        tb = ColoredMultigraph(p.b, beta.colored, len(p.b))
         tb_props = check_tb_properties(tb)
         matched = check_matched_pairs(tb)
-    extremal = 8 * support.size == support.n * support.n
+    extremal = 8 * size == support.n * support.n
     is_tstar = is_tstar_family(support) if extremal else None
     return CertifierReport(
         n=f.n,
         mode=f.mode,
         size=f.size,
-        support_size=support.size,
+        support_size=size,
         partition=p,
         beta=beta,
         witnesses=witnesses,
-        eq1_holds=eq1_val == 2 * support.size,
+        eq1_holds=eq1_val == 2 * size,
         eq1_value=eq1_val,
         eq2_holds=all(s <= len(p.a) for _, s, _ in eq2_rows),
         eq2_values=eq2_rows,

@@ -137,63 +137,77 @@ def family_from_triangles(
     return TriangleFamily(n, tuple(members), mode)
 
 
-def _check_number(text: str, line: str) -> None:
-    """Refuse a TRIFAM number unless it is ASCII decimal digits, which int() alone
-    is not, and few enough for int() to take (it always takes 640; see sys.int_info)."""
-    if not (text.isascii() and text.isdigit() and len(text) <= 640):
-        raise TrifamError(f"bad number on line {line!r}")
-
-
 def parse_family(data: str | bytes) -> TriangleFamily:
     """Parse TRIFAM v1 text into a family.
 
     Format: header line "trifam 1", then "mode set|multiset", then "n <int>",
     then one line per member: three ascending vertices, optionally followed
-    by "x2" for a doubled member.  Numbers are ASCII decimal digits.  '#'
-    starts a comment; blank lines are ignored.  Member order in the result
-    follows the input.
+    by "x2" for a doubled member.  Numbers are ASCII decimal digits, few
+    enough for int() to take (it always takes 640; see sys.int_info), which
+    int() alone does not check.  '#' starts a comment; blank lines are
+    ignored.  Member order in the result follows the input.
+
+    One pass over the lines: the first three that are not blank are the
+    header, checked before any member line is read.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TrifamError(f"input is not valid UTF-8: {exc}") from None
-    lines: list[str] = []
-    for raw in data.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if len(lines) < 3:
+    lines = iter(data.splitlines())
+    head: list[str] = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head.append(line)
+            if len(head) == 3:
+                break
+    else:
         raise TrifamError("truncated input: expected header, mode, and n lines")
-    if lines[0].split() != ["trifam", "1"]:
-        raise TrifamError(f"bad header line {lines[0]!r}, expected 'trifam 1'")
-    mode_parts = lines[1].split()
+    if head[0].split() != ["trifam", "1"]:
+        raise TrifamError(f"bad header line {head[0]!r}, expected 'trifam 1'")
+    mode_parts = head[1].split()
     if len(mode_parts) != 2 or mode_parts[0] != "mode" or mode_parts[1] not in MODES:
-        raise TrifamError(f"bad mode line {lines[1]!r}")
+        raise TrifamError(f"bad mode line {head[1]!r}")
     mode = mode_parts[1]
-    n_parts = lines[2].split()
+    n_parts = head[2].split()
     if len(n_parts) != 2 or n_parts[0] != "n":
-        raise TrifamError(f"bad vertex-count line {lines[2]!r}")
-    _check_number(n_parts[1], lines[2])
-    n = int(n_parts[1])
+        raise TrifamError(f"bad vertex-count line {head[2]!r}")
+    # numbers are checked inline: ASCII digits, at most 640; a member's
+    # three vertices are checked as one string, as a check each slowed
+    # parsing by 20%
+    text = n_parts[1]
+    if not (text.isascii() and text.isdigit() and len(text) <= 640):
+        raise TrifamError(f"bad number on line {head[2]!r}")
+    n = int(text)
 
     members: list[tuple[Triangle, int]] = []
-    for line in lines[3:]:
-        parts = line.split()
+    for raw in lines:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
+            continue
         mult = 1
         if len(parts) == 4:
             suffix = parts.pop()
             if suffix[:1] != "x":
-                raise TrifamError(f"bad multiplicity suffix {suffix!r} on line {line!r}")
-            _check_number(suffix[1:], line)
-            mult = int(suffix[1:])
+                raise TrifamError(
+                    f"bad multiplicity suffix {suffix!r} on line {raw.strip()!r}"
+                )
+            text = suffix[1:]
+            if not (text.isascii() and text.isdigit() and len(text) <= 640):
+                raise TrifamError(f"bad number on line {raw.strip()!r}")
+            mult = int(text)
         if len(parts) != 3:
-            raise TrifamError(f"bad member line {line!r}")
-        # one check for the three vertices; a check each slowed parsing by 20%
-        _check_number("".join(parts), line)
+            raise TrifamError(f"bad member line {raw.strip()!r}")
+        text = "".join(parts)
+        if not (text.isascii() and text.isdigit() and len(text) <= 640):
+            raise TrifamError(f"bad number on line {raw.strip()!r}")
         a, b, c = map(int, parts)
         if not a < b < c:
-            raise TrifamError(f"vertices not ascending on line {line!r}")
+            raise TrifamError(f"vertices not ascending on line {raw.strip()!r}")
         members.append(((a, b, c), mult))
     return TriangleFamily(n, tuple(members), mode)
 
@@ -228,7 +242,7 @@ class UnionGraph:
         return tuple(self.owners)
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
 
 def union_graph(f: TriangleFamily) -> UnionGraph:

@@ -47,25 +47,6 @@ def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[in
     return cnt, [(a * n + b) * n + c for (a, b, c), _ in rows], [m for _, m in rows]
 
 
-def support_state(
-    f: TriangleFamily, extra: tuple[int, ...] = ()
-) -> tuple[list[int], tuple[list[list[int]], list[int], list[int]]]:
-    """The support of f plus the vertices in extra, ascending, and the
-    family_state of f relabeled onto them in that order: the input of
-    the extension kernels (see extend_ok).
-
-    The relabeling keeps vertex order, so ascending triples stay
-    ascending; memory grows with the square of the vertices kept, not
-    with n.
-    """
-    verts = sorted({*extra, *f.support_vertices()})
-    if len(verts) == f.n:  # every vertex is used: the labels stay as they are
-        return verts, family_state(f)
-    rank = {v: i for i, v in enumerate(verts)}
-    members = tuple(((rank[a], rank[b], rank[c]), m) for (a, b, c), m in f.members)
-    return verts, family_state(TriangleFamily(len(verts), members, f.mode))
-
-
 def scan_state(
     f: TriangleFamily,
 ) -> tuple[tuple[int, ...], list[int], list[dict[int, int]], dict[int, int]]:

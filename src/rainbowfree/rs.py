@@ -111,7 +111,7 @@ def unique_triangle_property(g: UnionGraph) -> tuple[bool, Edge | None]:
     first edge e in lexicographic order whose triangle count is not 1.
     """
     for u, v in g.edges:
-        if bin(g.adj[u] & g.adj[v]).count("1") != 1:
+        if (g.adj[u] & g.adj[v]).bit_count() != 1:
             return False, (u, v)
     return True, None
 

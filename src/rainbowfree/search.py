@@ -87,7 +87,7 @@ from .family import (
     parse_family,
     serialize_family,
 )
-from .rainbow import find_rainbow, support_state
+from .rainbow import find_rainbow
 
 MAXIMIZE = "maximize"
 PROVE = "prove"
@@ -189,18 +189,40 @@ def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
     Only vertex triples using an edge of t can become rainbow, so the
-    check is local to t. It runs on the support and t's vertices
-    relabeled in order (support_state), so memory grows with the
-    members, not with n.
+    check is local to t: rainbow_after_add reads the owner-count rows of
+    t's three vertices and the multiplicities of triples holding two of
+    them, which only the members meeting t add to. It runs on those
+    members and t, relabeled in order onto their s vertices: one pass
+    over the members picks them, and the three rows of length s and
+    their sorted codes are all it builds, so nothing grows with n or
+    with the square of the support.
     """
     a, b, c = sorted(t)
     if not (0 <= a < b < c < f.n):
         raise SearchError(f"triangle {t} does not fit on {f.n} vertices")
     if add_m < 1:
         raise SearchError("add_m must be at least 1")
-    verts, (cnt, codes, tm) = support_state(f, (a, b, c))
-    a, b, c = verts.index(a), verts.index(b), verts.index(c)
-    return rainbow_after_add(cnt, codes, tm, len(verts), a, b, c, add_m) == 0
+    own = {a, b, c}
+    near = [(tri, m) for tri, m in f.members if not own.isdisjoint(tri)]
+    verts = sorted(own.union(*[tri for tri, _ in near]))
+    s = len(verts)
+    rank = {v: i for i, v in enumerate(verts)}
+    a, b, c = rank[a], rank[b], rank[c]
+    cnt = {a: [0] * s, b: [0] * s, c: [0] * s}
+    row = cnt.get
+    coded = []
+    for (x, y, z), m in near:
+        x, y, z = rank[x], rank[y], rank[z]
+        for u, v, w in ((x, y, z), (y, x, z), (z, x, y)):
+            ru = row(u)
+            if ru is not None:
+                ru[v] += m
+                ru[w] += m
+        coded.append(((x * s + y) * s + z, m))
+    coded.sort()
+    codes = [code for code, _ in coded]
+    tm = [m for _, m in coded]
+    return rainbow_after_add(cnt, codes, tm, s, a, b, c, add_m) == 0
 
 
 class _Stop(Exception):

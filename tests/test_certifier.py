@@ -19,7 +19,6 @@ from rainbowfree.certifier import (
     certify,
     check_master_chain,
     check_matched_pairs,
-    check_step1,
     check_tb_properties,
     max_independent_set,
     render_report,
@@ -149,6 +148,18 @@ def test_witness_pick_collision_on_doubled_member():
     beta = build_beta(f, g, p)
     assert beta.d[(1, 2)] == 2
     with pytest.raises(CertifierError, match="collide"):
+        build_witness(f, g, p, beta, 1)
+    # b = 1 has two edges whose doubled members collide, (1,2) at 6 and
+    # (1,3) at 7, listed first: the report names the one on the lesser edge
+    f = family_from_triangles(8, [(1, 3, 7, 2), (1, 2, 6, 2)], MULTISET)
+    g = union_graph(f)
+    p = Bipartition(a=(0, 4, 5, 6, 7), b=(1, 2, 3), e_b=((1, 2), (1, 3)))
+    beta = build_beta(f, g, p)
+    with pytest.raises(
+        CertifierError,
+        match=r"^witness picks collide at vertex 6 \(members \(1, 2, 6\) and "
+        r"\(1, 2, 6\)\): would-be rainbow near \(1, 2, 6\)$",
+    ):
         build_witness(f, g, p, beta, 1)
 
 
@@ -344,13 +355,19 @@ def test_matched_pairs_cases():
 
 
 def test_step1_checker_directly():
+    # build_beta's member pass decides step1: colored is None exactly
+    # when some member lies inside B
     f = family_from_triangles(4, [(0, 1, 2)])
-    assert check_step1(f, Bipartition(a=(3, 0), b=(1, 2), e_b=((1, 2),)))
-    assert not check_step1(f, Bipartition(a=(3,), b=(0, 1, 2), e_b=()))
+    g = union_graph(f)
+    beta = build_beta(f, g, Bipartition(a=(3, 0), b=(1, 2), e_b=((1, 2),)))
+    assert beta.colored == (((1, 2), 0),)
+    beta = build_beta(f, g, Bipartition(a=(3,), b=(0, 1, 2), e_b=()))
+    assert beta.colored is None and beta.beta == {(0, 0): (0, 1)}
 
 
 def test_certify_t_star_sweep_is_fast_and_true():
-    for n in (4, 12, 16, 20, 24):
+    # 64 is MIS_VERTEX_LIMIT
+    for n in (4, 12, 16, 20, 24, 60, 64):
         r = certify(t_star(n))
         assert r.verdict and r.extremal and r.is_tstar
         assert r.chain_values[0] == 2 * (n * n // 8)

@@ -8,6 +8,9 @@ import itertools
 import os
 import random
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -730,7 +733,7 @@ def test_extend_ok_off_the_support_matches_brute():
 
 
 def test_extend_ok_memory_follows_the_members():
-    # the owner counts cover the support and the probe only;
+    # the owner counts cover the probe and the members meeting it only;
     # an owner matrix on all 3,000 vertices takes about 70 MB
     f = family_from_triangles(3000, [(0, 1, 2), (0, 1, 3)])
     tracemalloc.start()
@@ -741,6 +744,33 @@ def test_extend_ok_memory_follows_the_members():
         tracemalloc.stop()
     assert answers == [False, True]
     assert peak < 2 * 2**20
+
+
+_CAPPED_EXTEND_OK = """
+from rainbowfree.family import family_from_triangles
+from rainbowfree.search import extend_ok
+tris = [(v, v + 1, v + 2) for v in range(0, 9000, 3)] + [(0, 3, 6)]
+f = family_from_triangles(9000, tris)
+print(extend_ok(f, (0, 1, 3)), extend_ok(f, (1, 4, 7)))
+"""
+
+
+def test_extend_ok_within_memory_cap():
+    # 3,000 disjoint triangles and one member across three of them: all
+    # 9,000 vertices are in the support, where an owner matrix would take
+    # about 650 MB; under a 512 MiB address-space cap extend_ok answers
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_EXTEND_OK],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False True\n"), proc.stderr
 
 
 def _greedy_family(rng, n, mode):
