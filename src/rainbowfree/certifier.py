@@ -292,8 +292,8 @@ def build_beta(f: TriangleFamily, g: UnionGraph, p: Bipartition) -> BetaAssignme
         for k in range(m):
             beta[i, k] = pick
             refs.append((i, k))
-            if colored is not None:
-                colored.append((pick, color))
+        if colored is not None:
+            colored += [(pick, color)] * m
     return BetaAssignment(beta, preimage, None if colored is None else tuple(colored))
 
 
