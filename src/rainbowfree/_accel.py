@@ -7,18 +7,17 @@ Packed values use a radix derived from n (the rainbow kernels pack
 triples with radix n, the labeling DFS packs member codes with radix
 n + 2), so no kernel caps the vertex count.
 
-The extension kernels take a family as cnt, the symmetric edge owner
-counts as a list of n rows, codes, the members' packed triples
-(a*n+b)*n+c ascending, and tm, their multiplicities.  A triple's own
-multiplicity is found in codes by binary search, so no kernel input
-grows with n^3.  rainbow_after_add reads only the rows of its
+Every rainbow kernel reads a triple's own multiplicity from mult, a dict
+mapping the packed triple (a*n+b)*n+c of each member (a, b, c) to its
+multiplicity, with mult.get, so no kernel input grows with n^3.  The
+extension kernels take the symmetric edge owner counts cnt as a list of
+n rows beside it.  rainbow_after_add reads only the rows of its
 triangle's three vertices, so a caller may pass just those, keyed by
-vertex, and of codes only the triples holding two of those vertices.
+vertex, and of mult only the triples holding two of those vertices.
 The rainbow scan takes the union graph as one bitmask of higher
 neighbours per vertex, relative to the vertex, with one dict of owner
-counts per vertex and one of multiplicities keyed by packed triples, so
-its input grows with the members; it visits only the triangles of the
-union graph, where every rainbow triple lies.
+counts per vertex, so its input grows with the members; it visits only
+the triangles of the union graph, where every rainbow triple lies.
 The labeling DFS takes the member rows (a, b, c, m) in ascending order
 and works out the support from them.
 
@@ -107,14 +106,6 @@ def _hall3(c1, c2, c3, cm):
     return 1
 
 
-def _mult(codes, tm, code):
-    """Multiplicity of the member with packed code `code`, 0 for a non-member."""
-    i = bisect_left(codes, code)
-    if i < len(codes) and codes[i] == code:
-        return tm[i]
-    return 0
-
-
 def rainbow_triple_scan(hi, cnt, mult, n):
     """First rainbow triple in lexicographic order, packed (x*n+y)*n+z.
 
@@ -151,7 +142,7 @@ def rainbow_triple_scan(hi, cnt, mult, n):
     return -1
 
 
-def _edge_witness(cnt, codes, tm, n, a, b, ws):
+def _edge_witness(cnt, mult, n, a, b, ws):
     """Would some (a, b, w), w in ws, turn rainbow once new copies own the
     edge (a, b)?
 
@@ -185,12 +176,12 @@ def _edge_witness(cnt, codes, tm, n, a, b, ws):
             code = (a * n + w) * n + b
         else:
             code = (a * n + b) * n + w
-        if caw + cbw - _mult(codes, tm, code) >= 2:
+        if caw + cbw - mult.get(code, 0) >= 2:
             return 1
     return 0
 
 
-def _after_add(cnt, codes, tm, n, x, y, z, m, wit, ws):
+def _after_add(cnt, mult, n, x, y, z, m, wit, ws):
     """Would adding m copies of (x, y, z), x < y < z, create a rainbow triple?
 
     Assumes the current family is rainbow-free, so only triples using an
@@ -206,7 +197,7 @@ def _after_add(cnt, codes, tm, n, x, y, z, m, wit, ws):
     triangle had no witness before it was added (see list_extensions).
     Returns 1 if a rainbow appears.
     """
-    own = _mult(codes, tm, (x * n + y) * n + z) + m
+    own = mult.get((x * n + y) * n + z, 0) + m
     rx = cnt[x]
     if _hall3(rx[y] + m, rx[z] + m, cnt[y][z] + m, own) == 1:
         return 1
@@ -214,25 +205,24 @@ def _after_add(cnt, codes, tm, n, x, y, z, m, wit, ws):
         e = a * n + b
         w = wit.get(e)
         if w is None:
-            w = wit[e] = _edge_witness(cnt, codes, tm, n, a, b, ws)
+            w = wit[e] = _edge_witness(cnt, mult, n, a, b, ws)
         if w == 1:
             return 1
     return 0
 
 
-def rainbow_after_add(cnt, codes, tm, n, x, y, z, add_m):
+def rainbow_after_add(cnt, mult, n, x, y, z, add_m):
     """Would adding add_m copies of (x, y, z), x < y < z, create a rainbow?
 
     Assumes the current family is rainbow-free.  Returns 1 if a rainbow
     appears; _after_add holds the rule.  Only cnt[x], cnt[y] and cnt[z]
     are read.
     """
-    return _after_add(cnt, codes, tm, n, x, y, z, add_m, {}, range(n))
+    return _after_add(cnt, mult, n, x, y, z, add_m, {}, range(n))
 
 
 def list_extensions(
-    cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult, out,
-    parent=None, x=0, y=0, z=0,
+    cnt, mult, max_mult, n, pool_a, pool_b, pool_c, start, parent, out, x=0, y=0, z=0
 ):
     """Record the largest rainbow-safe multiplicity per pool triangle >= start.
 
@@ -242,21 +232,23 @@ def list_extensions(
     bounds everything a whole subtree can still add; label-contiguity is
     a per-node constraint and is left to the caller.
 
-    Each triangle is tested by the rule of _after_add with one edge cache
-    for the whole call, so each edge is scanned for witnesses at most once.
-    Without parent, every triangle is tested for every multiplicity up to
-    max_mult: a listing from scratch, O(n^3) for the C(n,3) pool.  A
-    family with no members, the search root, needs no test: every entry
-    is max_mult, which is at most 2.
+    The family is cnt and mult (see the module docstring).  Each triangle
+    is tested by the rule of _after_add with one edge cache for the whole
+    call, so each edge is scanned for witnesses at most once.  With parent
+    None, every triangle is tested for every multiplicity up to max_mult:
+    a listing from scratch, O(n^3) for the C(n,3) pool.  A family with no
+    members, the search root, needs no test: every entry is max_mult,
+    which is at most 2.
 
-    With parent, the list of the family without its member t = (x, y, z),
-    x < y < z, for the same max_mult and a start no later than this one,
-    only what t changes is tested again.  Adding t changes owner counts
-    only on the pairs inside {x, y, z} and changes no multiplicity but
-    t's.  Every triangle with a nonzero parent entry had all three edge
-    witnesses 0 in the parent, and a witness w of an edge (a, b) reads
-    only the counts of (a, w) and (b, w) and the multiplicity of
-    (a, b, w), which can change only when w is one of x, y, z.  So:
+    Otherwise parent is the list of the family without its member
+    t = (x, y, z), x < y < z, for the same max_mult and a start no later
+    than this one, and only what t changes is tested again.  Adding t
+    changes owner counts only on the pairs inside {x, y, z} and changes
+    no multiplicity but t's.  Every triangle with a nonzero parent entry
+    had all three edge witnesses 0 in the parent, and a witness w of an
+    edge (a, b) reads only the counts of (a, w) and (b, w) and the
+    multiplicity of (a, b, w), which can change only when w is one of x,
+    y, z.  So:
     - a parent entry of 0 stays 0, as rainbow triples stay rainbow when
       copies are added, and a parent entry of 1 caps the entry at 1;
     - every edge witness is scanned over x, y and z alone;
@@ -268,7 +260,7 @@ def list_extensions(
       rule of _after_add for the multiplicities its parent entry allows.
     """
     total = len(pool_a)
-    if parent is None and not codes:
+    if parent is None and not mult:
         # no members: no edge has an owner, and two copies of one triangle
         # admit no rainbow, so every entry is max_mult without a test
         out[start:] = [max_mult] * (total - start)
@@ -295,13 +287,13 @@ def list_extensions(
                 e = u * n + v
                 w = wit.get(e)
                 if w is None:
-                    w = wit[e] = _edge_witness(cnt, codes, tm, n, u, v, ws)
+                    w = wit[e] = _edge_witness(cnt, mult, n, u, v, ws)
                 if w == 1:
                     out[idx] = 0
                     break
-        elif _after_add(cnt, codes, tm, n, a, b, c, 1, wit, ws) == 1:
+        elif _after_add(cnt, mult, n, a, b, c, 1, wit, ws) == 1:
             out[idx] = 0
-        elif out[idx] == 2 and _after_add(cnt, codes, tm, n, a, b, c, 2, wit, ws) == 1:
+        elif out[idx] == 2 and _after_add(cnt, mult, n, a, b, c, 2, wit, ws) == 1:
             out[idx] = 1
     return sum(out[start:])
 

@@ -37,14 +37,17 @@ def edge_owners(f: TriangleFamily, e: Edge) -> tuple[MemberRef, ...]:
     return tuple(out)
 
 
-def family_state(f: TriangleFamily) -> tuple[list[list[int]], list[int], list[int]]:
-    """f as (cnt, codes, tm), the extension kernels' member format (see _accel)."""
+def family_state(f: TriangleFamily) -> tuple[list[list[int]], dict[int, int]]:
+    """f as (cnt, mult), the extension kernels' input (see _accel): the
+    n x n edge owner counts and each member's multiplicity keyed by its
+    packed triple (a*n+b)*n+c."""
     n = f.n
     cnt = [[0] * n for _ in range(n)]
+    mult = {}
     for (a, b, c), m in f.members:
         add_member(cnt, a, b, c, m)
-    rows = sorted(f.members)
-    return cnt, [(a * n + b) * n + c for (a, b, c), _ in rows], [m for _, m in rows]
+        mult[(a * n + b) * n + c] = m
+    return cnt, mult
 
 
 def scan_state(

@@ -96,10 +96,10 @@ TARGETS = (MAXIMIZE, PROVE, ENUMERATE)
 
 # Largest n a search accepts.  The engine keeps all C(n,3) triangles in
 # its pool and lists their extensions for every child its parent's list
-# does not drop: at n = 64 about 0.1 s for the root's listing from
-# scratch and 0.025 s for a child's derived from its parent's.  A
-# listing's private-edge table takes about 0.03 s and is built only where
-# a child's size is below the size to reach (Python 3.11, 2-CPU machine).
+# does not drop.  At n = 64 the root's list, written without a test,
+# takes about 0.6 ms, a child's, derived from its parent's, 7-15 ms, and
+# a listing's private-edge table, built only where a child's size is
+# below the size to reach, 14-28 ms (Python 3.11, 2-CPU shared machine).
 # No exhaustive search near this size ends.
 MAX_SEARCH_N = 64
 
@@ -193,9 +193,9 @@ def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     t's three vertices and the multiplicities of triples holding two of
     them, which only the members meeting t add to. It runs on those
     members and t, relabeled in order onto their s vertices: one pass
-    over the members picks them, and the three rows of length s and
-    their sorted codes are all it builds, so nothing grows with n or
-    with the square of the support.
+    over the members picks them, and the three rows of length s and the
+    members' multiplicities are all it builds, so nothing grows with n
+    or with the square of the support.
     """
     a, b, c = sorted(t)
     if not (0 <= a < b < c < f.n):
@@ -210,7 +210,7 @@ def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     a, b, c = rank[a], rank[b], rank[c]
     cnt = {a: [0] * s, b: [0] * s, c: [0] * s}
     row = cnt.get
-    coded = []
+    mult = {}
     for (x, y, z), m in near:
         x, y, z = rank[x], rank[y], rank[z]
         for u, v, w in ((x, y, z), (y, x, z), (z, x, y)):
@@ -218,11 +218,8 @@ def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
             if ru is not None:
                 ru[v] += m
                 ru[w] += m
-        coded.append(((x * s + y) * s + z, m))
-    coded.sort()
-    codes = [code for code, _ in coded]
-    tm = [m for _, m in coded]
-    return rainbow_after_add(cnt, codes, tm, s, a, b, c, add_m) == 0
+        mult[(x * s + y) * s + z] = m
+    return rainbow_after_add(cnt, mult, s, a, b, c, add_m) == 0
 
 
 class _Stop(Exception):
@@ -233,8 +230,9 @@ class _Searcher:
     """The DFS core: orderly generation with bound cuts and checkpoints.
 
     The state is the stack of (pool index, multiplicity) members, their
-    owner counts and size; the member rows (a, b, c, m) and what the
-    kernels take are derived from the stack, O(k) for k members.  Each
+    owner counts, their multiplicities keyed by packed triple (the
+    kernels' mult) and their size, all kept by _push and _pop; the member
+    rows (a, b, c, m) are derived from the stack, O(k) for k members.  Each
     depth keeps the extension list of the node there, from which its
     children's lists are derived, the automorphisms its canonicity walk
     found, with which its children's walks are seeded, and, once a cut
@@ -247,6 +245,7 @@ class _Searcher:
         self.pool, self.pool_a, self.pool_b, self.pool_c = build_pool(n)
         self.total = len(self.pool)
         self.cnt = [[0] * n for _ in range(n)]
+        self.mult: dict[int, int] = {}
         self.stack: list[tuple[int, int]] = []
         self.size = 0
         self.nodes = 0
@@ -270,13 +269,19 @@ class _Searcher:
         return self._bufs[depth]
 
     def _push(self, idx: int, m: int) -> None:
-        add_member(self.cnt, *self.pool[idx], m)
+        n = self.cfg.n
+        a, b, c = self.pool[idx]
+        add_member(self.cnt, a, b, c, m)
+        self.mult[(a * n + b) * n + c] = m
         self.stack.append((idx, m))
         self.size += m
 
     def _pop(self) -> None:
         idx, m = self.stack.pop()
         add_member(self.cnt, *self.pool[idx], -m)
+        # the top member's key is the last one set, as the stack's pool
+        # indices strictly increase
+        self.mult.popitem()
         self.size -= m
 
     def _rows(self) -> list[tuple[int, int, int, int]]:
@@ -340,27 +345,17 @@ class _Searcher:
 
         Below the root the list is derived from the parent depth's buffer
         and the member on top of the stack."""
-        n = self.cfg.n
         depth = len(self.stack)
-        start, parent = 0, ()
+        start, parent, top = 0, None, ()
         if depth:
-            top = self.stack[-1][0]
-            start, parent = top + 1, (self._buf(depth - 1), *self.pool[top])
+            idx = self.stack[-1][0]
+            start, parent, top = idx + 1, self._buf(depth - 1), self.pool[idx]
         out = self._buf(depth)
         # the table of what the buffer held is stale
         self._tabs[depth] = None
         return list_extensions(
-            self.cnt,
-            [(a * n + b) * n + c for a, b, c, _ in self._rows()],
-            [m for _, m in self.stack],
-            n,
-            self.pool_a,
-            self.pool_b,
-            self.pool_c,
-            start,
-            self.cfg.max_multiplicity,
-            out,
-            *parent,
+            self.cnt, self.mult, self.cfg.max_multiplicity, self.cfg.n,
+            self.pool_a, self.pool_b, self.pool_c, start, parent, out, *top,
         )
 
     def _table(self) -> tuple[list[int], list[int], dict[int, int], int]:
@@ -640,7 +635,12 @@ def load_checkpoint(path: str) -> dict:
             blocks[-1].append(line)
     if len(blocks) != count:
         raise SearchError(f"{path}: witness count mismatch ({len(blocks)} != {count})")
-    witnesses = [parse_family("\n".join(block)) for block in blocks]
+    witnesses = []
+    for i, block in enumerate(blocks, 1):
+        try:
+            witnesses.append(parse_family("\n".join(block)))
+        except TrifamError as exc:
+            raise SearchError(f"{path}: witness {i}: {exc}") from None
     # a resumed search reports the witnesses as read, so they must match the header
     for w in witnesses:
         if (w.n, w.mode) != (state["n"], state["mode"]):

@@ -506,6 +506,24 @@ def test_search_resume_corrupt_checkpoint_exits_usage(tmp_path, capsys, monkeypa
     assert err.startswith("error: ") and "integer" in err
 
 
+def test_search_resume_corrupt_witness_exits_usage(tmp_path, capsys):
+    # a witness on more vertices than the cap is a corrupt file (exit 2),
+    # not a resource limit, and so is a witness triangle outside its n
+    ck = tmp_path / "c6.ckpt"
+    run_cli(capsys, ["search", "--n", "6", "--checkpoint", str(ck)])
+    text = ck.read_text()
+    head = "\nwitness\ntrifam 1\nmode set\nn 6\n"
+    for edited in (
+        text.replace(head, head.replace("n 6", "n 2000000"), 1),
+        text.replace(head + "0 1 2\n", head + "0 1 9\n", 1),
+    ):
+        assert edited != text
+        ck.write_text(edited)
+        code, out, err = run_cli(capsys, ["search", "--resume", str(ck)])
+        assert code == USAGE and out == ""
+        assert err.startswith(f"error: {ck}: witness 1: ")
+
+
 def test_search_flag_validation(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["search"])
     assert code == USAGE and "--n" in err

@@ -315,9 +315,9 @@ def line_edits(draw):
 
 @FUZZ
 @given(edits=st.lists(line_edits(), min_size=1, max_size=3))
-def test_resume_search_raises_only_search_or_trifam_error(
-    checkpoint_lines, tmp_path_factory, edits
-):
+def test_resume_search_raises_only_search_error(checkpoint_lines, tmp_path_factory, edits):
+    # a corrupt witness block is a corrupt checkpoint: its TrifamError
+    # comes out as a SearchError naming the file and the witness
     lines = list(checkpoint_lines)
     for kind, pos, new in edits:
         i = pos % len(lines)
@@ -335,7 +335,7 @@ def test_resume_search_raises_only_search_or_trifam_error(
     path.write_text("\n".join(lines) + "\n")
     try:
         resume_search(str(path), node_limit=50)
-    except (SearchError, TrifamError):
+    except SearchError:
         pass
 
 

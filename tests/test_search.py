@@ -309,6 +309,56 @@ def test_child_bound_cuts_listings_only(monkeypatch):
         assert calls["is_min_labeled", "accepts"] == nodes - 1
 
 
+def test_listings_read_the_kept_state_at_the_traced_positions(tmp_path, monkeypatch):
+    # perfbench/tracing.py reads list_extensions' pool column, start and
+    # output buffer as args 4, 7 and 9; and the mult the search keeps in
+    # _push and _pop holds exactly the members on its stack at every
+    # listing, and nothing once run() returns
+    live, calls = [], []
+    real_run, real_list = search_module._Searcher.run, search_module.list_extensions
+
+    def run(self, *args):
+        live.append(self)
+        real_run(self, *args)
+        assert not self.mult and not any(map(any, self.cnt))
+
+    def spy(*args):
+        s = live[-1]
+        n, pool = s.cfg.n, s.pool
+        assert args[0] is s.cnt and args[1] is s.mult
+        members = [(pool[idx], m) for idx, m in s.stack]
+        assert s.mult == {(a * n + b) * n + c: m for (a, b, c), m in members}
+        assert args[4] is s.pool_a and args[4].shape == (s.total,)
+        assert args[7] == (s.stack[-1][0] + 1 if s.stack else 0)
+        out = args[9]
+        assert out is s._bufs[len(s.stack)] and len(out) == s.total
+        calls.append(1)
+        return real_list(*args)
+
+    monkeypatch.setattr(search_module._Searcher, "run", run)
+    monkeypatch.setattr(search_module, "list_extensions", spy)
+    ck = str(tmp_path / "leg.ckpt")
+    runs = [
+        lambda n=n, mode=mode: enumerate_extremal(n, mode)
+        for n in range(3, 10)
+        for mode in (SET, MULTISET)
+    ]
+    runs += [
+        lambda: prove_size(9, 12, mode=MULTISET),
+        lambda: max_family(9, node_limit=10, checkpoint_path=ck),
+        lambda: resume_search(ck),
+    ]
+    results = []
+    for go in runs:
+        calls.clear()
+        results.append(go())
+        assert calls
+    assert len(live) == len(runs)
+    # the proof stops at its witness, the limited run at its node limit
+    proof, limited, resumed = results[-3:]
+    assert proof.found and not limited.completed and resumed.completed
+
+
 def test_labeling_walks_build_orbits_only_for_later_siblings(monkeypatch):
     # the walk makes the same _bounds calls as when every child rebuilt
     # its level's orbits; building them only when a later sibling is
@@ -570,6 +620,25 @@ def test_checkpoint_witnesses_of_two_sizes_are_refused(tmp_path):
         load_checkpoint(str(ck))
 
 
+def test_corrupt_witness_blocks_are_search_errors(tmp_path):
+    # a witness block parse_family refuses makes the checkpoint corrupt:
+    # the error names the file and the witness, also for a vertex count
+    # above the cap, which is no resource limit here
+    ck, bad = tmp_path / "c6.ckpt", tmp_path / "bad.ckpt"
+    run_search(SearchConfig(n=6, checkpoint_path=str(ck)))
+    text = ck.read_text()
+    head = "\nwitness\ntrifam 1\nmode set\nn 6\n"
+    assert head + "0 1 2\n" in text
+    for edited, why in (
+        (text.replace(head, head.replace("n 6", "n 2000000"), 1), "vertex count must be <="),
+        (text.replace(head + "0 1 2\n", head + "0 1 9\n", 1), r"triangle \(0, 1, 9\)"),
+    ):
+        bad.write_text(edited)
+        for call in (load_checkpoint, resume_search):
+            with pytest.raises(SearchError, match=f"^{re.escape(str(bad))}: witness 1: {why}"):
+                call(str(bad))
+
+
 @pytest.mark.parametrize("n,mode,k,limit,met", [(7, MULTISET, 6, 4, 3), (8, SET, 9, 5, 4)])
 def test_older_proof_checkpoints_resume(tmp_path, n, mode, k, limit, met):
     # a proof used to store the largest families it met, with best their
@@ -793,7 +862,7 @@ def test_list_extensions_matches_brute_force():
     cases += [TriangleFamily(n, (), mode) for n in range(3, 13) for mode in (SET, MULTISET)]
     for f in cases:
         n = f.n
-        state = family_state(f)
+        cnt, mult = family_state(f)
         pool, pool_a, pool_b, pool_c = build_pool(n)
         ok = {(t, m): brute_extend_ok(f, t, m) for t in pool for m in (1, 2)}
         for (t, m), want in ok.items():
@@ -809,7 +878,7 @@ def test_list_extensions_matches_brute_force():
             for start in range(len(pool) + 1):
                 out = [-1] * len(pool)
                 cap = list_extensions(
-                    *state, n, pool_a, pool_b, pool_c, start, max_mult, out
+                    cnt, mult, max_mult, n, pool_a, pool_b, pool_c, start, None, out
                 )
                 assert out[:start] == [-1] * start
                 assert out[start:] == want[start:], (f, start, max_mult)
@@ -825,9 +894,9 @@ def test_parent_derived_lists_match_full_listings(monkeypatch):
     tested = []
     real = accel_module._after_add
 
-    def spy(cnt, codes, tm, n, a, b, c, *rest):
+    def spy(cnt, mult, n, a, b, c, *rest):
         tested.append((a, b, c))
-        return real(cnt, codes, tm, n, a, b, c, *rest)
+        return real(cnt, mult, n, a, b, c, *rest)
 
     monkeypatch.setattr(accel_module, "_after_add", spy)
     rng = random.Random(19)
@@ -839,7 +908,7 @@ def test_parent_derived_lists_match_full_listings(monkeypatch):
         cnt = [[0] * n for _ in range(n)]
         members = []
         parent = [0] * len(pool)
-        list_extensions(cnt, [], [], n, pool_a, pool_b, pool_c, 0, max_mult, parent)
+        list_extensions(cnt, {}, max_mult, n, pool_a, pool_b, pool_c, 0, None, parent)
         start = 0
         while True:
             open_ = [i for i in range(start, len(pool)) if parent[i]]
@@ -849,14 +918,13 @@ def test_parent_derived_lists_match_full_listings(monkeypatch):
             m = rng.randint(1, parent[idx])
             add_member(cnt, *pool[idx], m)
             members.append((pool[idx], m))
-            codes = [(a * n + b) * n + c for (a, b, c), _ in members]
-            tm = [k for _, k in members]
+            mult = {(a * n + b) * n + c: k for (a, b, c), k in members}
             start = idx + 1
-            args = (cnt, codes, tm, n, pool_a, pool_b, pool_c, start, max_mult)
+            args = (cnt, mult, max_mult, n, pool_a, pool_b, pool_c, start)
             full, child = [-1] * len(pool), [-1] * len(pool)
-            cap = list_extensions(*args, full)
+            cap = list_extensions(*args, None, full)
             tested.clear()
-            assert list_extensions(*args, child, parent, *pool[idx]) == cap, members
+            assert list_extensions(*args, parent, child, *pool[idx]) == cap, members
             assert child == full, members
             sharing = {
                 pool[i]
