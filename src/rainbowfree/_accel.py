@@ -47,12 +47,18 @@ The labeling DFS behind is_min_labeled and min_labeling gives each label
 only to the frontier, the unlabeled vertices of the members whose code
 bound is least (see _bounds), and prunes later siblings with the
 automorphisms it meets, building their orbits only when it tries such a
-sibling (see _label_dfs); is_min_labeled also starts from automorphisms
-its caller already knows and hands back those it holds on an accept, so
-a search seeds each child's walk with its parent's.  min_labeling can
-also compare its walk with a target code sequence (member_codes of
-another family's canonical image) and stop once the comparison is
-decided, which is how an isomorphism test needs only one full walk.
+sibling (see _label_dfs).  A member's bound is read off which of its
+slots are labeled, with no sort of the fresh labels.  min_labeling's
+greedy dives record the bounds of every node they evaluate, and its DFS
+reads them there, so no node is evaluated twice in one walk; a dive
+keeps only a marker for a node whose final entries already put it above
+the dive's labeling (see _dive).  is_min_labeled keeps no records, as
+its walk never dives; it starts from automorphisms its caller already
+knows and hands back those it holds on an accept, so a search seeds
+each child's walk with its parent's.  min_labeling can also compare its
+walk with a target code sequence (member_codes of another family's
+canonical image) and stop once the comparison is decided, which is how
+an isomorphism test needs only one full walk.
 """
 
 from __future__ import annotations
@@ -331,6 +337,13 @@ def _bounds(mem, lab, nass, r):
     at most the final sorted code sequence of every completion, and the
     entries below the returned bound are final.
 
+    A code ((x*r + y)*r + z)*4 + m, x < y < z, is x*r2 + y*r1 + 4z + m
+    with r1 = 4r and r2 = r*r1, and a bound is read off the member's slot
+    pattern, which of its slots are labeled: the labeled values come
+    first, in label order, then the fresh labels nass, nass + 1, ...  So
+    the fresh part of a bound is f0, f1 or f2 when none, one or two slots
+    are labeled, and only a labeled pair or triple needs ordering.
+
     The frontier is where the next label, nass, must go.  A bound depends
     only on the member's labels and on how many of its vertices are
     unlabeled, so nass on one of a member's unlabeled vertices keeps its
@@ -347,35 +360,46 @@ def _bounds(mem, lab, nass, r):
     lb = _INF
     front = 0
     vec = []
+    r1 = 4 * r
+    r2 = r * r1
+    f2 = 4 * nass
+    f1 = nass * r1 + f2 + 4
+    f0 = nass * r2 + f1 + r1 + 4
     for a, b, c, m in mem:
-        fresh = nass
-        x0 = lab[a]
-        if x0 < 0:
-            x0 = fresh
-            fresh += 1
-        x1 = lab[b]
-        if x1 < 0:
-            x1 = fresh
-            fresh += 1
-        x2 = lab[c]
-        if x2 < 0:
-            x2 = fresh
-            fresh += 1
-        if x0 > x1:
-            x0, x1 = x1, x0
-        if x1 > x2:
-            x1, x2 = x2, x1
-            if x0 > x1:
-                x0, x1 = x1, x0
-        code = ((x0 * r + x1) * r + x2) * 4 + m
+        x = lab[a]
+        y = lab[b]
+        z = lab[c]
+        if x < 0:
+            if y < 0:
+                code = f0 + m if z < 0 else z * r2 + f1 + m
+            elif z < 0:
+                code = y * r2 + f1 + m
+            else:
+                code = (y * r2 + z * r1 if y < z else z * r2 + y * r1) + f2 + m
+        elif y < 0:
+            if z < 0:
+                code = x * r2 + f1 + m
+            else:
+                code = (x * r2 + z * r1 if x < z else z * r2 + x * r1) + f2 + m
+        elif z < 0:
+            code = (x * r2 + y * r1 if x < y else y * r2 + x * r1) + f2 + m
+        else:
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            vec.append(x * r2 + y * r1 + 4 * z + m)
+            continue
         vec.append(code)
-        if fresh > nass and code <= lb:
+        if code <= lb:
             free = 0
-            if lab[a] < 0:
+            if x < 0:
                 free = 1 << a
-            if lab[b] < 0:
+            if y < 0:
                 free |= 1 << b
-            if lab[c] < 0:
+            if z < 0:
                 free |= 1 << c
             if code < lb:
                 lb = code
@@ -387,8 +411,8 @@ def _bounds(mem, lab, nass, r):
 
 
 def _dive(mem, r, lab, choice, level, vec, front, bpath):
-    """Complete a partial labeling greedily; return its codes and its
-    labels by position.
+    """Complete a partial labeling greedily; return its codes, its labels
+    by position and the record of the nodes it evaluated.
 
     lab holds labels 0..level-1, on positions choice[0..level-1], and
     front is its frontier (see _bounds); when level is s the labeling is
@@ -398,26 +422,56 @@ def _dive(mem, r, lab, choice, level, vec, front, bpath):
     has a larger vector, so it would never be picked.  The complete
     labeling's path (position by label) goes to bpath; lab is left
     unchanged.
+
+    The record lets _label_dfs read a node the dive evaluated instead of
+    evaluating it again.  It maps each candidate c of the first label to
+    the entry [vec, lb, front, below] of the node choice[:level] + [c]:
+    what _bounds returned there and, for the pick, the record of the next
+    label's candidates below it (None elsewhere and at the last label).
+    When a label's candidates are done, their entries shrink to what the
+    DFS can still use:
+    - a candidate whose vector equals the pick's shares the pick's list;
+    - a candidate whose vector differs from the pick's below the pick's
+      lb is above it there.  Those entries are final for every
+      completion through the pick (see _bounds), so the candidate's
+      vector is above the dive's result.  best only drops afterwards, so
+      the DFS would cut the candidate anyway, and its entry is None.
     """
     s = len(lab)
     cur = lab[:]
     bpath[:level] = choice[:level]
     best = vec
+    first = prev = None
     for l in range(level, s):
+        got = {}
         pick = -1
         while front:
             low = front & -front
             front ^= low
             c = low.bit_length() - 1
             cur[c] = l
-            cand, _, f = _bounds(mem, cur, l + 1, r)
+            got[c] = node = _bounds(mem, cur, l + 1, r)
             cur[c] = -1
-            if pick < 0 or cand < best:
-                best, pick, nxt = cand, c, f
+            if pick < 0 or node[0] < best:
+                best, pick = node[0], c
+        _, lb, front = got[pick]
+        lead = best[: bisect_left(best, lb)]
+        for c, (cand, clb, cfront) in got.items():
+            if cand == best:
+                cand = best
+            elif cand[: len(lead)] != lead:
+                got[c] = None
+                continue
+            got[c] = [cand, clb, cfront, None]
+        # link this label's record below the previous label's pick
+        if prev is None:
+            first = got
+        else:
+            prev[3] = got
+        prev = got[pick]
         cur[pick] = l
         bpath[l] = pick
-        front = nxt
-    return best, cur
+    return best, cur, first
 
 
 def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None):
@@ -461,6 +515,17 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
        position order replaces bpath and out_lab, so they end as the first
        minimal labeling, whatever labeling the dives found.
     Returns 2 once the walk ends.
+
+    Each node is evaluated once: the DFS reads the nodes a dive evaluated
+    from the dive's record (see _dive) instead of calling _bounds again.
+    rec[l] holds the record of the node choice[:l] when a dive evaluated
+    that node's children, and a child's entry links the record below it,
+    so the DFS carries it down one level at a time.  A child recorded as
+    above the dive's labeling is cut at once: best only drops, so it is
+    above best too.  A dive never starts on an earlier dive's path, where
+    the node's final entries are those of that dive's labeling, which is
+    not below best, so no node is recorded twice.  A canonicity walk
+    (stop=1) never dives and keeps no records.
 
     With stop=0 and a target, a sorted code sequence, the walk is the
     same, but after each dive it compares best with the target.  best is
@@ -523,8 +588,11 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     # with stop=1 the seed path is the identity, which a leaf can only tie
     # when sup is 0..s-1, and then this path attains best
     bpath = list(range(s))
+    # rec[l]: the dives' record of the node choice[:l] (see _dive), None
+    # when no dive evaluated its children
+    rec: list[dict | None] = [None] * (s + 1)
     if stop == 0:
-        best, cur = _dive(mem, r, lab, choice, 0, [], front[0], bpath)
+        best, cur, rec[0] = _dive(mem, r, lab, choice, 0, [], front[0], bpath)
         emit(cur)
         if target is not None and best <= target:
             return 1 if best == target else 0
@@ -583,7 +651,18 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
         choice[level] = c
         lab[c] = level
         fixed[level + 1] = fixed[level] | 1 << c
-        vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
+        if stop:
+            # a canonicity walk never dives, so it keeps no records
+            vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
+        elif rec[level] is None:
+            vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
+            rec[level + 1] = None  # no dive has evaluated its children
+        else:
+            # a dive evaluated this node; the walk reaches it only once
+            got = rec[level].pop(c)
+            if got is None:
+                continue  # above that dive's labeling, so above best
+            vec, lb, front[level + 1], rec[level + 1] = got
         if vec != best:
             if vec > best:
                 continue  # every completion is above best: next sibling
@@ -593,7 +672,9 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
             if vec[:p] != best[:p]:
                 if stop == 1:
                     return 1
-                best, cur = _dive(mem, r, lab, choice, level + 1, vec, front[level + 1], bpath)
+                best, cur, rec[level + 1] = _dive(
+                    mem, r, lab, choice, level + 1, vec, front[level + 1], bpath
+                )
                 emit(cur)
                 if target is not None and best <= target:
                     return 1 if best == target else 0

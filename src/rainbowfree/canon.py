@@ -18,6 +18,13 @@ and a labeling that ties the best one and comes earlier in position order
 takes its place.  The dives only decide how soon the minimum is known:
 the map is still the first minimal labeling in position order, so it
 does not depend on them.
+A member's bound gives its unlabeled vertices the next unused labels in
+order, so it is read off which of its vertices are labeled.  Each dive
+records the bounds of every vertex choice it weighs, and the DFS reads
+them there instead of computing them again, so no partial labeling is
+bounded twice in one walk.  A choice whose final codes already put it
+above the dive's labeling keeps only a marker: the best sequence only
+drops, so the DFS cuts that choice at once.
 The DFS and the dives give the next label only to the frontier: the
 unlabeled vertices of the members whose code bound is least among the
 members not yet fully labeled.  A bound depends only on a member's labels

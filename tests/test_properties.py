@@ -4,9 +4,11 @@ command line."""
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import io
 import itertools
+import random
 from bisect import bisect_left
 from unittest import mock
 
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowfree._accel import _bounds, is_min_labeled, member_codes
+import rainbowfree._accel as accel_module
+from rainbowfree._accel import _bounds, is_min_labeled, member_codes, min_labeling
 from rainbowfree.canon import (
     are_isomorphic,
     canonical_form,
@@ -22,7 +25,7 @@ from rainbowfree.canon import (
     is_canonical,
 )
 from rainbowfree.cli import main
-from rainbowfree.constructions import doubled_nine, t_star
+from rainbowfree.constructions import doubled_nine, pair_family, t_star
 from rainbowfree.family import (
     MULTISET,
     SET,
@@ -34,7 +37,7 @@ from rainbowfree.family import (
 from rainbowfree.rainbow import find_rainbow, verify_certificate
 from rainbowfree.search import SearchConfig, SearchError, resume_search, run_search
 
-from oracles import brute_child_minima
+from oracles import brute_child_minima, random_family
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -223,6 +226,98 @@ def test_least_frontier_position_is_least_in_its_orbit(f, rnd):
                     todo.append(g[u])
         assert min(orbit) == least
         assert all(front >> u & 1 for u in orbit)
+
+
+@st.composite
+def partial_labelings(draw):
+    """Member rows on 3..12 vertices, the support possibly with gaps, and
+    labels 0..l-1 on l of its vertices: a node of a labeling walk."""
+    n = draw(st.integers(3, 12))
+    pool = list(itertools.combinations(range(n), 3))
+    tris = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    rows = sorted((*t, draw(st.integers(1, 2))) for t in tris)
+    sup = sorted({v for t in tris for v in t})
+    prefix = draw(st.permutations(sup))[: draw(st.integers(0, len(sup)))]
+    lab = [-1] * n
+    for l, v in enumerate(prefix):
+        lab[v] = l
+    return n, rows, lab, len(prefix)
+
+
+def bounds_by_definition(rows, lab, nass, r):
+    """_bounds' vec, lb and front from their definition: each member's
+    unlabeled slots take nass, nass + 1, ... in slot order, and its code
+    packs the sorted labels; lb is the least code of a member with an
+    unlabeled slot, and front holds the unlabeled vertices of those whose
+    code is lb."""
+    vec, free = [], {}
+    for a, b, c, m in rows:
+        fresh = itertools.count(nass)
+        x, y, z = sorted(lab[v] if lab[v] >= 0 else next(fresh) for v in (a, b, c))
+        code = ((x * r + y) * r + z) * 4 + m
+        vec.append(code)
+        if next(fresh) > nass:
+            free[code] = free.get(code, 0) | sum(1 << v for v in (a, b, c) if lab[v] < 0)
+    lb = min(free, default=accel_module._INF)
+    return sorted(vec), lb, free.get(lb, 0)
+
+
+@PROPERTY
+@given(partial_labelings())
+def test_bounds_match_their_definition(node):
+    n, rows, lab, nass = node
+    assert _bounds(rows, lab, nass, n + 2) == bounds_by_definition(rows, lab, nass, n + 2)
+
+
+def test_labeling_walks_bound_each_node_once(monkeypatch):
+    # min_labeling's DFS reads the nodes its greedy dives bounded from the
+    # dives' records, so no partial labeling is bounded twice in a walk,
+    # and the walk still returns brute force's map
+    seen = collections.Counter()
+    walks = collections.Counter()
+    real_bounds, real_dfs = accel_module._bounds, accel_module._label_dfs
+
+    def bounds(mem, lab, nass, r):
+        seen[tuple(lab), nass] += 1
+        return real_bounds(mem, lab, nass, r)
+
+    def walk(mem, n, best, stop, *args, **kw):
+        seen.clear()
+        got = real_dfs(mem, n, best, stop, *args, **kw)
+        assert max(seen.values(), default=1) == 1
+        walks[stop, kw.get("target") is not None] += 1
+        return got
+
+    monkeypatch.setattr(accel_module, "_bounds", bounds)
+    monkeypatch.setattr(accel_module, "_label_dfs", walk)
+    canonical_relabeling(t_star(16))
+    canonical_relabeling(pair_family(10, 2, 6))
+    rng = random.Random(32)
+    low = 0
+    while low < 50:
+        f = random_family(rng, rng.randint(8, 11), 12, (SET, MULTISET)[low % 2])
+        _, image = canonical_relabeling(f)
+        gens = []
+        is_min_labeled(sorted((*t, m) for t, m in image.members), f.n, (), gens)
+        if len(f.members) < 6 or len(gens) > 1:
+            continue  # not low-symmetry
+        low += 1
+        perm = list(range(f.n))
+        rng.shuffle(perm)
+        g = sorted((tuple(sorted(perm[v] for v in t)), m) for t, m in f.members)
+        # a target walk, which runs until the isomorphism is certain
+        assert are_isomorphic(f, TriangleFamily(f.n, tuple(g), f.mode))
+    for _ in range(100):
+        f = random_family(rng, rng.randint(3, 7), 9, rng.choice((SET, MULTISET)))
+        rows = sorted((*t, m) for t, m in f.members)
+        want, best = brute_canonical(f)
+        lab = []
+        assert min_labeling(rows, f.n, lab) == 2
+        assert [want[v] if l >= 0 else -1 for v, l in enumerate(lab)] == lab
+        target = member_codes(brute_canonical(random_family(rng, f.n, 9, f.mode))[1], f.n)
+        mine = member_codes(best, f.n)
+        assert min_labeling(rows, f.n, [], target) == (mine > target) - (mine < target) + 1
+    assert walks[0, True] == 150 and walks[0, False] > 150
 
 
 same_n_pairs = st.integers(3, 8).flatmap(lambda n: st.tuples(families(n), families(n)))

@@ -375,9 +375,9 @@ def test_labeling_walks_build_orbits_only_for_later_siblings(monkeypatch):
         monkeypatch.setattr(accel_module, name, counted)
     _, image = canonical_relabeling(t_star(16))
     for run, bounds, roots in (
-        (lambda: canonical_relabeling(t_star(16)), 227, 602),
+        (lambda: canonical_relabeling(t_star(16)), 195, 602),
         (lambda: is_canonical(image), 153, 650),
-        (lambda: canonical_relabeling(pair_family(10, 2, 6)), 107, 201),
+        (lambda: canonical_relabeling(pair_family(10, 2, 6)), 87, 201),
         (lambda: enumerate_extremal(12), 14_164, 66_398),
         (lambda: enumerate_extremal(10, mode=MULTISET), 14_147, 37_128),
     ):
