@@ -49,16 +49,18 @@ bound is least (see _bounds), and prunes later siblings with the
 automorphisms it meets, building their orbits only when it tries such a
 sibling (see _label_dfs).  A member's bound is read off which of its
 slots are labeled, with no sort of the fresh labels.  min_labeling's
-greedy dives record the bounds of every node they evaluate, and its DFS
-reads them there, so no node is evaluated twice in one walk; a dive
-keeps only a marker for a node whose final entries already put it above
-the dive's labeling (see _dive).  is_min_labeled keeps no records, as
-its walk never dives; it starts from automorphisms its caller already
-knows and hands back those it holds on an accept, so a search seeds
-each child's walk with its parent's.  min_labeling can also compare its
-walk with a target code sequence (member_codes of another family's
-canonical image) and stop once the comparison is decided, which is how
-an isomorphism test needs only one full walk.
+greedy dives are the DFS's own descents: at each node a dive enters it
+bounds every child once, keeps the bounds in one slot per level, and
+tries the least child first; the DFS reads the other children's bounds
+from that slot when it comes back, so no node is evaluated twice in one
+walk.
+is_min_labeled never dives and keeps no slots; it starts from
+automorphisms its caller already knows and hands back those it holds on
+an accept, so a search seeds each child's walk with its parent's.
+min_labeling can also compare its walk with a target code sequence
+(member_codes of another family's canonical image) and stop once the
+comparison is decided, which is how an isomorphism test needs only one
+full walk.
 """
 
 from __future__ import annotations
@@ -410,80 +412,17 @@ def _bounds(mem, lab, nass, r):
     return vec, lb, front
 
 
-def _dive(mem, r, lab, choice, level, vec, front, bpath):
-    """Complete a partial labeling greedily; return its codes, its labels
-    by position and the record of the nodes it evaluated.
-
-    lab holds labels 0..level-1, on positions choice[0..level-1], and
-    front is its frontier (see _bounds); when level is s the labeling is
-    complete and vec holds its codes.  Each further label goes to the
-    frontier position whose sorted bound vector is lexicographically
-    least, the first such position on ties: a position off the frontier
-    has a larger vector, so it would never be picked.  The complete
-    labeling's path (position by label) goes to bpath; lab is left
-    unchanged.
-
-    The record lets _label_dfs read a node the dive evaluated instead of
-    evaluating it again.  It maps each candidate c of the first label to
-    the entry [vec, lb, front, below] of the node choice[:level] + [c]:
-    what _bounds returned there and, for the pick, the record of the next
-    label's candidates below it (None elsewhere and at the last label).
-    When a label's candidates are done, their entries shrink to what the
-    DFS can still use:
-    - a candidate whose vector equals the pick's shares the pick's list;
-    - a candidate whose vector differs from the pick's below the pick's
-      lb is above it there.  Those entries are final for every
-      completion through the pick (see _bounds), so the candidate's
-      vector is above the dive's result.  best only drops afterwards, so
-      the DFS would cut the candidate anyway, and its entry is None.
-    """
-    s = len(lab)
-    cur = lab[:]
-    bpath[:level] = choice[:level]
-    best = vec
-    first = prev = None
-    for l in range(level, s):
-        got = {}
-        pick = -1
-        while front:
-            low = front & -front
-            front ^= low
-            c = low.bit_length() - 1
-            cur[c] = l
-            got[c] = node = _bounds(mem, cur, l + 1, r)
-            cur[c] = -1
-            if pick < 0 or node[0] < best:
-                best, pick = node[0], c
-        _, lb, front = got[pick]
-        lead = best[: bisect_left(best, lb)]
-        for c, (cand, clb, cfront) in got.items():
-            if cand == best:
-                cand = best
-            elif cand[: len(lead)] != lead:
-                got[c] = None
-                continue
-            got[c] = [cand, clb, cfront, None]
-        # link this label's record below the previous label's pick
-        if prev is None:
-            first = got
-        else:
-            prev[3] = got
-        prev = got[pick]
-        cur[pick] = l
-        bpath[l] = pick
-    return best, cur, first
-
-
 def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None):
     """Walk labelings of the support, comparing sorted member codes to best.
 
     mem lists the member rows (a, b, c, m) ascending; the support is the
     set of their vertices, s of them, and a support position is a
     vertex's rank in it.  Labelings are injections of the support onto
-    labels 0..s-1, walked by DFS in position order (label 0 to each
-    support position in turn, then label 1, ...).  A branch is cut as
-    soon as its sorted bound vector (see _bounds) is lexicographically
-    above best, which every completion then is too.
+    labels 0..s-1, walked by DFS (label 0 to each support position in
+    turn, then label 1, ...).  A node tries its children in position
+    order, except that a dive (below) tries its pick first.  A branch is
+    cut as soon as its sorted bound vector (see _bounds) is
+    lexicographically above best, which every completion then is too.
 
     Label l goes only to the frontier that _bounds returns at the node:
     the unlabeled positions of the undetermined members of least bound
@@ -491,7 +430,7 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     the vertices of one target cell).  As _bounds shows, every completion
     through another child is strictly above some completion through the
     frontier, so it is neither minimal nor tied with a minimal labeling,
-    and the frontier's children keep their position order.  Hence the
+    and the frontier's children are tried in the same order.  Hence the
     first minimal labeling, the verdict of stop=1 and, when that verdict
     accepts, the automorphisms it stores (each from a leaf tying the
     identity, which is then minimal) are exactly those of a walk over
@@ -499,38 +438,42 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
 
     With stop=1, best holds the identity's codes, and the walk returns 1
     at the first node whose final codes are certain to end strictly below
-    them; otherwise it returns 0.
+    them; otherwise it returns 0.  It never dives, so it tries every
+    node's children in position order.
 
     With stop=0, best is not read, and the walk finds the minimal code
     sequence and the first labeling in position order attaining it, whose
     labels go to out_lab (-1 off the support), in three steps:
-    1. a greedy descent from the root (see _dive) seeds best and bpath,
-       the path of a labeling attaining best (bpath[l] is the position
-       labeled l);
-    2. the DFS lowers best to the minimum: at a node whose final codes are
-       certain to end strictly below best it dives again from that node,
-       so best drops to a good labeling at once instead of to the first
-       labeling in position order below it;
+    1. the walk starts with a greedy dive from the root.  At each node a
+       dive enters, it bounds every frontier child once into slot[l], the
+       slot of the node's level l, and its pick, the child whose sorted
+       bound vector is least (the first position on ties), goes first.
+       The dive's leaf sets best and bpath, the path of a labeling
+       attaining best (bpath[l] is the position labeled l);
+    2. the DFS then tries the dive nodes' other children, reading their
+       bounds from the slots, and lowers best to the minimum: a node
+       whose final codes are certain to end strictly below best starts a
+       new dive, so best drops to a good labeling at once instead of to
+       the first labeling in position order below it;
     3. a complete labeling that ties best and comes before bpath in
        position order replaces bpath and out_lab, so they end as the first
        minimal labeling, whatever labeling the dives found.
     Returns 2 once the walk ends.
 
-    Each node is evaluated once: the DFS reads the nodes a dive evaluated
-    from the dive's record (see _dive) instead of calling _bounds again.
-    rec[l] holds the record of the node choice[:l] when a dive evaluated
-    that node's children, and a child's entry links the record below it,
-    so the DFS carries it down one level at a time.  A child recorded as
-    above the dive's labeling is cut at once: best only drops, so it is
-    above best too.  A dive never starts on an earlier dive's path, where
-    the node's final entries are those of that dive's labeling, which is
-    not below best, so no node is recorded twice.  A canonicity walk
-    (stop=1) never dives and keeps no records.
+    Each node is bounded once: a dive node's children only into its slot,
+    the others when the DFS tries them.  A slot is read only while its
+    node is on the DFS path, and the next node at that level replaces it,
+    so one slot per level holds every bound still to be read.  Children
+    whose vector equals the pick's share the pick's list.  A pick is not
+    compared with best: every completion of the node where its dive
+    started is strictly below best, and so is every completion of the
+    pick, so the dive goes on to a leaf strictly below best, the one
+    place where best drops.
 
     With stop=0 and a target, a sorted code sequence, the walk is the
-    same, but after each dive it compares best with the target.  best is
-    always the code sequence of a complete labeling and changes only at
-    dives, so the walk returns 1 as soon as best equals the target (a
+    same, but at each dive's leaf it compares best with the target.  best
+    is always the code sequence of a complete labeling and changes only
+    there, so the walk returns 1 as soon as best equals the target (a
     labeling attains it), 0 as soon as best is below it (the minimum is
     below it), and 2 when it ends with best above it (the minimum, best,
     is above it).  out_lab then holds a labeling attaining best.  The
@@ -545,24 +488,29 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     when its orbit, under the stored automorphisms that fix the assigned
     prefix pointwise, holds a smaller position, and after a tie with an
     earlier bpath the DFS jumps back to the level where the two paths
-    part.  Each skipped subtree is the image of an explored one under an
-    automorphism fixing the prefix, so it has the same code sequences at
-    every node and comes later in position order: it can only tie, and
-    ties keep the earlier labeling.  Such an automorphism maps the
-    frontier onto itself, so the smaller position of the orbit is on it
-    too.  best, out_lab and the return value are therefore the same as
-    without pruning.
+    part.  Either way the skipped subtree is the image, under an
+    automorphism fixing the prefix, of one walked before it: a node tries
+    its pick first and its other children in position order, so the
+    smaller position of a sibling's orbit was tried before the sibling,
+    and bpath lies below the earlier of the two children where the paths
+    part, which was therefore walked first.  So the skipped subtree has
+    the same code sequences at every node and comes later in position
+    order: it can only tie, and ties keep the earlier labeling.  Such an
+    automorphism maps the frontier onto itself, so the smaller position
+    of the orbit is on it too.  best, out_lab and the return value are
+    therefore the same as without pruning.
 
     Orbits are built only when they can skip something.  A new prefix's
-    first child is its least frontier position, which the same argument
-    makes least in its orbit, so it is taken with no orbit work.  A
-    level's orbits, a union-find forest over the positions, are built
+    first child, its pick or else its least frontier position, is taken
+    with no orbit work, as nothing below the prefix has been walked yet.
+    A level's orbits, a union-find forest over the positions, are built
     when the walk returns to that level to try a later sibling, and then
-    absorb only the automorphisms stored since.  Each stored automorphism
-    keeps the bitmask of the positions it moves and its (position, image)
-    pairs there, and each level keeps the bitmask of its prefix's
-    positions: an automorphism fixes the prefix iff the two masks are
-    disjoint, and its orbits merge over the moved pairs alone.
+    absorb only the automorphisms stored since.  The frontier positions
+    not yet tried are kept as a bitmask per level.  Each stored
+    automorphism keeps the bitmask of the positions it moves and its
+    (position, image) pairs there, and each level keeps the bitmask of
+    its prefix's positions: an automorphism fixes the prefix iff the two
+    masks are disjoint, and its orbits merge over the moved pairs alone.
 
     The argument holds for any automorphisms, so the stored list starts
     from seed, automorphisms known in advance as permutations of support
@@ -579,7 +527,11 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     choice = [-1] * s
     # front[l]: the frontier of the node whose labels 0..l-1 are choice[:l]
     front = [0] * (s + 1)
-    front[0] = _bounds(mem, lab, 0, r)[2]
+    vec, _, front[0] = _bounds(mem, lab, 0, r)
+    # todo[l]: its frontier positions not yet tried; slot[l]: the bounds
+    # of its frontier children by position when a dive entered it, else None
+    todo = [0] * s
+    slot: list[dict | None] = [None] * s
 
     def emit(labels):
         for i, v in enumerate(sup):
@@ -588,14 +540,11 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     # with stop=1 the seed path is the identity, which a leaf can only tie
     # when sup is 0..s-1, and then this path attains best
     bpath = list(range(s))
-    # rec[l]: the dives' record of the node choice[:l] (see _dive), None
-    # when no dive evaluated its children
-    rec: list[dict | None] = [None] * (s + 1)
-    if stop == 0:
-        best, cur, rec[0] = _dive(mem, r, lab, choice, 0, [], front[0], bpath)
-        emit(cur)
-        if target is not None and best <= target:
-            return 1 if best == target else 0
+    # a minimum walk starts with a dive from the root, whose leaf sets best
+    # before a comparison reads it; with no members, the root is that leaf
+    diving = stop == 0
+    if diving:
+        best = vec
     max_gens = 2 * s + 8
     gens: list[list[int]] = list(seed[:max_gens])
     moves = [_moves(g) for g in gens]
@@ -607,43 +556,64 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
     seen = [-1] * s
     level = 0 if s else -1  # no members: the empty labeling is the only one
     while level >= 0:
-        prev = choice[level]
-        if prev < 0:
-            # a new prefix: its automorphisms map the frontier onto itself,
-            # so the least frontier position is least in its orbit
+        c = choice[level]
+        if c < 0:
+            # a new prefix: its first child needs no orbit work
             seen[level] = -1
-            c = (front[level] & -front[level]).bit_length() - 1
-            rest = 0
+            rest = front[level]
+            got = None
+            if diving:
+                got = {}
+                pick = -1
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = low.bit_length() - 1
+                    lab[c] = level
+                    got[c] = node = _bounds(mem, lab, level + 1, r)
+                    lab[c] = -1
+                    if pick < 0 or node[0] < least:
+                        least, pick = node[0], c
+                c = pick
+                for i, (v, lb, f) in got.items():
+                    if v == least:
+                        got[i] = least, lb, f  # share the pick's list
+            else:
+                c = (rest & -rest).bit_length() - 1
+            slot[level] = got
+            todo[level] = front[level] ^ 1 << c
         else:
-            lab[prev] = -1
+            lab[c] = -1
+            diving = False
             c = -1
-            rest = front[level] >> (prev + 1) << (prev + 1)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
-            if not gens:
-                break
-            if seen[level] < 0:
-                par[level] = list(range(s))
-                seen[level] = 0
-            orb = par[level]
-            pre = fixed[level]
-            for mask, pairs in moves[seen[level] :]:
-                if mask & pre:
-                    continue
-                # it fixes the prefix: merge its orbits over the points it moves
-                for i, j in pairs:
-                    ra = _orbit_root(orb, i)
-                    rb = _orbit_root(orb, j)
-                    if ra < rb:
-                        orb[rb] = ra
-                    elif rb < ra:
-                        orb[ra] = rb
-            seen[level] = len(gens)
-            if _orbit_root(orb, c) == c:
-                break
-            c = -1
+            rest = todo[level]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = low.bit_length() - 1
+                if not gens:
+                    break
+                if seen[level] < 0:
+                    par[level] = list(range(s))
+                    seen[level] = 0
+                orb = par[level]
+                pre = fixed[level]
+                for mask, pairs in moves[seen[level] :]:
+                    if mask & pre:
+                        continue
+                    # it fixes the prefix: merge its orbits over the points it moves
+                    for i, j in pairs:
+                        ra = _orbit_root(orb, i)
+                        rb = _orbit_root(orb, j)
+                        if ra < rb:
+                            orb[rb] = ra
+                        elif rb < ra:
+                            orb[ra] = rb
+                seen[level] = len(gens)
+                if _orbit_root(orb, c) == c:
+                    break
+                c = -1
+            todo[level] = rest
         if c < 0:
             choice[level] = -1
             level -= 1
@@ -651,62 +621,67 @@ def _label_dfs(mem, n, best, stop, out_lab, seed=(), gens_out=None, target=None)
         choice[level] = c
         lab[c] = level
         fixed[level + 1] = fixed[level] | 1 << c
-        if stop:
-            # a canonicity walk never dives, so it keeps no records
+        got = slot[level]
+        if got is None:
             vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
-        elif rec[level] is None:
-            vec, lb, front[level + 1] = _bounds(mem, lab, level + 1, r)
-            rec[level + 1] = None  # no dive has evaluated its children
         else:
-            # a dive evaluated this node; the walk reaches it only once
-            got = rec[level].pop(c)
-            if got is None:
-                continue  # above that dive's labeling, so above best
-            vec, lb, front[level + 1], rec[level + 1] = got
-        if vec != best:
-            if vec > best:
-                continue  # every completion is above best: next sibling
-            # entries below lb are final, so when the first difference
-            # lies among them every completion is strictly below best
-            p = bisect_left(vec, lb)
-            if vec[:p] != best[:p]:
+            vec, lb, front[level + 1] = got.pop(c)
+        if not diving:  # a dive's pick is below best, or no best is set yet
+            if vec != best:
+                if vec > best:
+                    continue  # every completion is above best: next sibling
+                # entries below lb are final, so when the first difference
+                # lies among them every completion is strictly below best
+                p = bisect_left(vec, lb)
+                if vec[:p] == best[:p]:
+                    level += 1
+                    continue
                 if stop == 1:
                     return 1
-                best, cur, rec[level + 1] = _dive(
-                    mem, r, lab, choice, level + 1, vec, front[level + 1], bpath
-                )
-                emit(cur)
-                if target is not None and best <= target:
-                    return 1 if best == target else 0
-        elif level == s - 1:
-            # a tie: store the automorphism carrying this path onto bpath
-            d = 0
-            while d < s and choice[d] == bpath[d]:
-                d += 1
-            if d == s:
+                diving = True
+            elif level < s - 1:
+                level += 1
                 continue
-            if len(gens) < max_gens:
-                g = [0] * s
-                for i in range(s):
-                    g[choice[i]] = bpath[i]
-                gens.append(g)
-                moves.append(_moves(g))
-            if choice[d] < bpath[d]:
-                # this labeling comes first in position order
-                emit(lab)
-                bpath[:] = choice
             else:
-                # jump back to where the two paths part
-                while level > d:
-                    lab[choice[level]] = -1
-                    choice[level] = -1
-                    level -= 1
-            continue
+                # a tie: store the automorphism carrying this path onto bpath
+                d = 0
+                while d < s and choice[d] == bpath[d]:
+                    d += 1
+                if d == s:
+                    continue
+                if len(gens) < max_gens:
+                    g = [0] * s
+                    for i in range(s):
+                        g[choice[i]] = bpath[i]
+                    gens.append(g)
+                    moves.append(_moves(g))
+                if choice[d] < bpath[d]:
+                    # this labeling comes first in position order
+                    emit(lab)
+                    bpath[:] = choice
+                else:
+                    # jump back to where the two paths part
+                    while level > d:
+                        lab[choice[level]] = -1
+                        choice[level] = -1
+                        level -= 1
+                continue
         if level < s - 1:
             level += 1
+            continue
+        # a dive's leaf
+        best = vec
+        bpath[:] = choice
+        emit(lab)
+        if target is not None and best <= target:
+            break
     if gens_out is not None:
         gens_out[:] = gens
-    return 0 if stop else 2
+    if stop:
+        return 0
+    if target is not None and best <= target:
+        return 1 if best == target else 0
+    return 2
 
 
 def member_codes(mem, n):

@@ -11,20 +11,21 @@ one labeling DFS in _accel, a backtracking search over label
 assignments that cuts a branch once the sorted bounds of its member
 codes exceed the best sequence.  is_canonical stops at the first
 labeling below the identity.  canonical_relabeling finds the map in
-three steps: a greedy descent gives each label to the vertex whose bounds
-are least, which seeds the best sequence; the DFS lowers it to the
+three steps: a greedy descent from the root gives each label to the
+vertex whose bounds are least, which seeds the best sequence; the DFS
+then tries the other choices and lowers the best sequence to the
 minimum, diving greedily again wherever a branch is certain to beat it;
-and a labeling that ties the best one and comes earlier in position order
-takes its place.  The dives only decide how soon the minimum is known:
-the map is still the first minimal labeling in position order, so it
-does not depend on them.
+and a labeling that ties the best one and comes earlier in position
+order takes its place.  The dives only decide how soon the minimum is
+known: the map is still the first minimal labeling in position order,
+so it does not depend on them.
 A member's bound gives its unlabeled vertices the next unused labels in
-order, so it is read off which of its vertices are labeled.  Each dive
-records the bounds of every vertex choice it weighs, and the DFS reads
-them there instead of computing them again, so no partial labeling is
-bounded twice in one walk.  A choice whose final codes already put it
-above the dive's labeling keeps only a marker: the best sequence only
-drops, so the DFS cuts that choice at once.
+order, so it is read off which of its vertices are labeled.  A dive is
+the DFS's own first descent below a node: it bounds every vertex choice
+there once, tries the least first, and keeps the other choices' bounds
+for when the DFS comes back to the node, so no partial labeling is
+bounded twice in one walk.  Those bounds are needed only while their
+node is on the DFS path, so one store per depth holds them.
 The DFS and the dives give the next label only to the frontier: the
 unlabeled vertices of the members whose code bound is least among the
 members not yet fully labeled.  A bound depends only on a member's labels
@@ -37,15 +38,17 @@ the frontier: maps and verdicts are unchanged, and so are the
 automorphisms a canonicity walk stores, since each comes from a leaf that
 ties the identity when the identity is minimal.
 A labeling that ties the best one found so far exposes an automorphism;
-the DFS stores it and skips every later sibling choice lying in the orbit
-of an explored one, under the stored automorphisms that fix the labels
-already assigned.  Such a subtree mirrors an explored one code for code,
-so it could only produce ties, which never replace the earlier labeling:
-forms, maps and verdicts are exactly those of the unpruned search, and
-families with huge automorphism groups such as t_star(32) stay cheap.
-The first choice at a node is its least frontier vertex, which is least
-in its orbit too, so orbits are built only when the DFS comes back to a
-node for a later sibling.  Each automorphism keeps the bitmask of the
+the DFS stores it and skips a later sibling choice whose orbit, under
+the stored automorphisms that fix the labels already assigned, holds a
+smaller choice, which the DFS has explored already.  Such a subtree
+mirrors an explored one code for code, so it could only produce ties,
+which never replace the earlier labeling: forms, maps and verdicts are
+exactly those of the unpruned search, and families with huge
+automorphism groups such as t_star(32) stay cheap.
+The first choice at a node, its least frontier vertex or a dive's
+pick, needs no orbit work, as nothing below the node has been walked
+yet, so orbits are built only when the DFS comes back to a node for a
+later sibling.  Each automorphism keeps the bitmask of the
 positions it moves: whether it fixes the labeled ones is one AND, and
 its orbits merge over the moved positions alone.
 Support vertices always receive labels 0..s-1 in a canonical labeling;

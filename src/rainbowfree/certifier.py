@@ -65,6 +65,12 @@ class MISLimitError(CertifierError):
     """Graph too large for the exact independent-set solver."""
 
 
+def _check_mis_limit(n: int) -> None:
+    """Refuse a graph on more vertices than the exact solver takes."""
+    if n > MIS_VERTEX_LIMIT:
+        raise MISLimitError(f"graph has {n} vertices, exact solver limit is {MIS_VERTEX_LIMIT}")
+
+
 class RainbowFamilyError(CertifierError):
     """The family to certify contains a rainbow triangle."""
 
@@ -176,8 +182,7 @@ def max_independent_set(g: UnionGraph) -> tuple[Vertex, ...]:
     lex-least maximum set, even when components interleave.
     """
     n = g.n
-    if n > MIS_VERTEX_LIMIT:
-        raise MISLimitError(f"graph has {n} vertices, exact solver limit is {MIS_VERTEX_LIMIT}")
+    _check_mis_limit(n)
     adj = g.adj
     memo: dict[int, int] = {}
 
@@ -456,11 +461,14 @@ def certify(f: TriangleFamily) -> CertifierReport:
 
     A multiset family is certified through its distinct support; the
     doubling layer is handled by the decomposition module. A rainbow
-    input raises RainbowFamilyError carrying the certificate.
+    input raises RainbowFamilyError carrying the certificate. A
+    rainbow-free family on more vertices than the independent-set solver
+    takes raises MISLimitError before the union graph is built.
     """
     cert = find_rainbow(f)
     if cert is not None:
         raise RainbowFamilyError(cert)
+    _check_mis_limit(f.n)
     support = f
     if f.mode == MULTISET:
         support = family_from_triangles(f.n, list(f.support), SET)

@@ -188,6 +188,10 @@ def _edge_bound(u: int, d: int) -> int:
 def extend_ok(f: TriangleFamily, t: Triangle, add_m: int = 1) -> bool:
     """True iff adding add_m copies of t keeps the family rainbow-free.
 
+    f must be rainbow-free.  On any f, the answer is whether the family
+    with the copies has no rainbow triple through an edge of t, t's own
+    triple included: a rainbow elsewhere goes unseen.
+
     Only vertex triples using an edge of t can become rainbow, so the
     check is local to t: rainbow_after_add reads the owner-count rows of
     t's three vertices and the multiplicities of triples holding two of

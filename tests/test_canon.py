@@ -211,9 +211,9 @@ def test_rewired_tstar_is_refused_in_both_orders():
 
 
 def test_canonical_relabeling_records_stay_small():
-    # the dives' records share a list among equal bound vectors and keep
-    # only a marker for a choice already above the dive's labeling: about
-    # 0.36 MB here, against 1.2 MB for a list per recorded choice
+    # a dive keeps the bounds of a node's children only while the node is
+    # on the DFS path, one slot per level, and children whose vector equals
+    # the first child's share its list: about 0.35 MB here
     g = _permuted(t_star(32), [7 * v % 32 for v in range(32)])
     tracemalloc.start()
     try:

@@ -304,6 +304,11 @@ def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
     )
     proc = _run_capped(["check", str(disjoint), "--porcelain"])
     assert (proc.returncode, proc.stdout) == (OK, "status=rainbow-free\n"), proc.stderr
+    # certify refuses it for the solver's vertex limit after the rainbow
+    # scan, before building the union graph on all 300,000 vertices
+    proc = _run_capped(["certify", str(disjoint)])
+    assert proc.returncode == LIMIT, proc.stderr
+    assert "graph has 300000 vertices, exact solver limit is 64" in proc.stderr
 
     # running out of memory anyway still exits 3, with a message
     def no_memory(f):

@@ -270,8 +270,9 @@ def test_bounds_match_their_definition(node):
 
 
 def test_labeling_walks_bound_each_node_once(monkeypatch):
-    # min_labeling's DFS reads the nodes its greedy dives bounded from the
-    # dives' records, so no partial labeling is bounded twice in a walk,
+    # each greedy dive is the DFS's own first descent below a node, and
+    # the DFS reads the node's other children from the bounds the dive
+    # computed there, so no partial labeling is bounded twice in a walk,
     # and the walk still returns brute force's map
     seen = collections.Counter()
     walks = collections.Counter()

@@ -363,7 +363,10 @@ def test_labeling_walks_build_orbits_only_for_later_siblings(monkeypatch):
     # the walk makes the same _bounds calls as when every child rebuilt
     # its level's orbits; building them only when a later sibling is
     # tried, and merging each automorphism over the points it moves, cuts
-    # the union-find calls (3,099 / 3,099 / 613 / 96,878 / 67,694 before)
+    # the union-find calls (3,099 / 3,099 / 613 / 96,878 / 67,694 before).
+    # The last two rows are a low-symmetry family with 2 automorphisms and
+    # its relabeling v -> 3v mod 10, which prune mostly by the bounds the
+    # dives compute
     calls = collections.Counter()
     for name in ("_bounds", "_orbit_root"):
         real = getattr(accel_module, name)
@@ -374,12 +377,16 @@ def test_labeling_walks_build_orbits_only_for_later_siblings(monkeypatch):
 
         monkeypatch.setattr(accel_module, name, counted)
     _, image = canonical_relabeling(t_star(16))
+    ls10 = [(0, 3, 5), (1, 4, 5), (2, 4, 5), (2, 6, 8), (3, 6, 9), (4, 5, 7), (6, 7, 8)]
+    pls10 = [tuple(sorted(3 * v % 10 for v in t)) for t in ls10]
     for run, bounds, roots in (
         (lambda: canonical_relabeling(t_star(16)), 195, 602),
         (lambda: is_canonical(image), 153, 650),
         (lambda: canonical_relabeling(pair_family(10, 2, 6)), 87, 201),
         (lambda: enumerate_extremal(12), 14_164, 66_398),
         (lambda: enumerate_extremal(10, mode=MULTISET), 14_147, 37_128),
+        (lambda: canonical_relabeling(family_from_triangles(10, ls10)), 79, 75),
+        (lambda: canonical_relabeling(family_from_triangles(10, pls10)), 74, 75),
     ):
         calls.clear()
         run()
@@ -1022,3 +1029,8 @@ def test_search_examples_from_docs():
     f = family_from_triangles(4, [(0, 1, 2), (1, 2, 3)])
     assert extend_ok(f, (0, 1, 3)) is False
     assert extend_ok(family_from_triangles(4, [(0, 1, 2)]), (0, 1, 3)) is True
+    # f must be rainbow-free: this one has rainbow triples, (0, 1, 2)
+    # first, but none through an edge of (4, 5, 6), the only ones tested
+    f = family_from_triangles(7, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+    assert brute_has_rainbow(f) and not brute_extend_ok(f, (4, 5, 6))
+    assert extend_ok(f, (4, 5, 6)) is True
