@@ -10,6 +10,7 @@ multiplicities are rejected outright).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -229,17 +230,27 @@ class UnionGraph:
 
     owners maps each edge to the tuple of member copies containing it,
     in member order; its keys are in ascending edge order, as
-    union_graph inserts them.  adj holds one vertex bitmask per vertex.
+    union_graph inserts them.  It is the graph's one record of its edges,
+    so the graph takes memory in proportion to them.  adj, one vertex
+    bitmask per vertex over absolute positions (about n^2/16 bytes when
+    the edges spread over 0..n-1), is built from it on first read.
     """
 
     n: int
     owners: dict[Edge, tuple[MemberRef, ...]]
-    adj: tuple[int, ...]
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """The edges in ascending order."""
         return tuple(self.owners)
+
+    @functools.cached_property
+    def adj(self) -> tuple[int, ...]:
+        adj = [0] * self.n
+        for u, v in self.owners:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -247,7 +258,6 @@ class UnionGraph:
 
 def union_graph(f: TriangleFamily) -> UnionGraph:
     owners: dict[Edge, list[MemberRef]] = {}
-    adj = [0] * f.n
     get = owners.get
     for i, ((a, b, c), m) in enumerate(f.members):
         # a single copy, the common case, needs no comprehension
@@ -258,7 +268,4 @@ def union_graph(f: TriangleFamily) -> UnionGraph:
                 owners[e] = refs[:]
             else:
                 have += refs
-        adj[a] |= 1 << b | 1 << c
-        adj[b] |= 1 << a | 1 << c
-        adj[c] |= 1 << a | 1 << b
-    return UnionGraph(f.n, {e: tuple(owners[e]) for e in sorted(owners)}, tuple(adj))
+    return UnionGraph(f.n, {e: tuple(owners[e]) for e in sorted(owners)})

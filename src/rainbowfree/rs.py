@@ -12,6 +12,7 @@ consequences on concrete families.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .family import (
@@ -59,16 +60,23 @@ def decompose(f: TriangleFamily) -> MultisetDecomposition:
     return MultisetDecomposition(t1, t2, union_graph(t2))
 
 
+def _neighbours(g: UnionGraph) -> defaultdict[int, set[int]]:
+    """Each vertex's neighbours in g, read from its edges, so they take
+    memory in proportion to the edges, not to n."""
+    nbrs: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in g.owners:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def _graph_triangles(g: UnionGraph) -> list[Triangle]:
     # each triangle once, at its lexicographically least edge, with the
-    # common neighbours above v taken by lowest set bit
+    # common neighbours above v ascending
+    nbrs = _neighbours(g)
     out: list[Triangle] = []
     for u, v in g.edges:
-        common = (g.adj[u] & g.adj[v]) >> (v + 1)
-        while common:
-            low = common & -common
-            common ^= low
-            out.append((u, v, v + low.bit_length()))
+        out += [(u, v, w) for w in sorted(nbrs[u] & nbrs[v]) if w > v]
     return out
 
 
@@ -110,8 +118,9 @@ def unique_triangle_property(g: UnionGraph) -> tuple[bool, Edge | None]:
     (True, None) when the property holds, otherwise (False, e) for the
     first edge e in lexicographic order whose triangle count is not 1.
     """
+    nbrs = _neighbours(g)
     for u, v in g.edges:
-        if (g.adj[u] & g.adj[v]).bit_count() != 1:
+        if len(nbrs[u] & nbrs[v]) != 1:
             return False, (u, v)
     return True, None
 

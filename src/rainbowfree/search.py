@@ -61,6 +61,7 @@ so every canonical family of the maximum size is collected.
 from __future__ import annotations
 
 import errno
+import functools
 import itertools
 import os
 import re
@@ -230,17 +231,96 @@ class _Stop(Exception):
     """Unwinds the DFS: at the node limit or at a proof's witness."""
 
 
+class _Node:
+    """A node of the DFS, listed where it is built: its extension list and
+    what is read from it.
+
+    buf[start:] is the node's extension list, each entry the largest
+    multiplicity its pool triangle can be added with (0: none), from which
+    its children's lists are derived; capacity is their sum.  The node's
+    support is 0..sup-1, so sup is its next fresh label.  gens holds the
+    automorphisms its canonicity walk found, as maps of the support, with
+    which its children's walks are seeded; a replayed node has no walk and
+    keeps none.  Its family is the one on the searcher's stack while it is
+    listed and while its table is read.
+    """
+
+    def __init__(self, s: _Searcher, parent: _Node | None = None, idx: int = 0):
+        """List the family on s's stack: the root, or the child of parent
+        whose newest member, on top of the stack, is pool triangle idx."""
+        self.s = s
+        self.buf = [0] * s.total
+        self.gens: list[list[int]] = []
+        pbuf, top = None, ()
+        self.start = self.sup = 0
+        if parent is not None:
+            pbuf, top = parent.buf, s.pool[idx]
+            self.start, self.sup = idx + 1, max(parent.sup, top[2] + 1)
+        self.capacity = list_extensions(
+            s.cnt, s.mult, s.cfg.max_multiplicity, s.cfg.n,
+            s.pool_a, s.pool_b, s.pool_c, self.start, pbuf, self.buf, *top,
+        )
+
+    @functools.cached_property
+    def table(self) -> tuple[list[int], list[int], dict[int, int], int]:
+        """The private-edge table of the node's list, built on first read
+        in one pass down the listed entries.
+
+        For each listed index, u_after and d_after hold the uncovered
+        edges on the listed triangles after it and their entries of 2.
+        last maps each uncovered edge on a listed triangle to the last
+        listed index that carries it, and twos counts all entries of 2.
+        """
+        s, buf = self.s, self.buf
+        n, cnt, pool = s.cfg.n, s.cnt, s.pool
+        u_after, d_after = [0] * s.total, [0] * s.total
+        last: dict[int, int] = {}
+        twos = 0
+        listed = itertools.compress(range(self.start, s.total), buf[self.start:])
+        for idx in reversed(list(listed)):
+            u_after[idx], d_after[idx] = len(last), twos
+            a, b, c = pool[idx]
+            row_a = cnt[a]
+            if not row_a[b] and (e := a * n + b) not in last:
+                last[e] = idx
+            if not row_a[c] and (e := a * n + c) not in last:
+                last[e] = idx
+            if not cnt[b][c] and (e := b * n + c) not in last:
+                last[e] = idx
+            if buf[idx] == 2:
+                twos += 1
+        return u_after, d_after, last, twos
+
+    def private_bound(self) -> int:
+        """The private-edge bound of the node's family: at most what its
+        subtree can add, read from its list (see the module docstring)."""
+        _, _, last, twos = self.table
+        return _edge_bound(len(last), twos)
+
+    def child_bound(self, idx: int) -> int:
+        """The private-edge bound of the child that adds pool triangle idx,
+        read from this node's list before the child's is made: at least
+        the child's private_bound() once it is listed (see the module
+        docstring)."""
+        u_after, d_after, last, _ = self.table
+        a, b, c = self.s.pool[idx]
+        n = self.s.cfg.n
+        # the child covers its own edges, so those counted after it leave U
+        u = u_after[idx]
+        for e in (a * n + b, a * n + c, b * n + c):
+            u -= last.get(e, idx) > idx
+        return _edge_bound(u, d_after[idx])
+
+
 class _Searcher:
     """The DFS core: orderly generation with bound cuts and checkpoints.
 
     The state is the stack of (pool index, multiplicity) members, their
     owner counts, their multiplicities keyed by packed triple (the
     kernels' mult) and their size, all kept by _push and _pop; the member
-    rows (a, b, c, m) are derived from the stack, O(k) for k members.  Each
-    depth keeps the extension list of the node there, from which its
-    children's lists are derived, the automorphisms its canonicity walk
-    found, with which its children's walks are seeded, and, once a cut
-    has read it, the private-edge table of that list (_table).
+    rows (a, b, c, m) are derived from the stack, O(k) for k members.
+    What belongs to one node, its extension list, automorphisms and
+    private-edge table, lives in its _Node, which _process is handed.
     """
 
     def __init__(self, cfg: SearchConfig):
@@ -255,22 +335,8 @@ class _Searcher:
         self.nodes = 0
         self.witnesses: list[TriangleFamily] = []
         self.completed = True
-        self._bufs: list[list[int]] = []
-        # automorphisms of the node at each depth, as maps of its support
-        # 0..sup-1, written by its canonicity walk; a replayed node has no
-        # walk and keeps the empty list it starts with
-        self._gens: list[list[list[int]]] = []
-        # the private-edge table of each depth's list, None until read
-        self._tabs: list[tuple[list[int], list[int], dict[int, int], int] | None] = []
 
     # -- state plumbing
-
-    def _buf(self, depth: int) -> list[int]:
-        while depth >= len(self._bufs):
-            self._bufs.append([0] * self.total)
-            self._gens.append([])
-            self._tabs.append(None)
-        return self._bufs[depth]
 
     def _push(self, idx: int, m: int) -> None:
         n = self.cfg.n
@@ -334,7 +400,7 @@ class _Searcher:
             self.cfg.prove_k if self.cfg.target == PROVE else _witness_size(self.witnesses)
         )
         try:
-            self._process(replay, self._list())
+            self._process(replay, _Node(self))
         except _Stop:
             pass
         finally:
@@ -342,79 +408,6 @@ class _Searcher:
                 self._pop()
         if self.completed and self.cfg.checkpoint_path:
             self._write_checkpoint(done=True)
-
-    def _list(self) -> int:
-        """List the stack's extensions into its depth's buffer; return the
-        capacity, an upper bound on what the whole subtree can still add.
-
-        Below the root the list is derived from the parent depth's buffer
-        and the member on top of the stack."""
-        depth = len(self.stack)
-        start, parent, top = 0, None, ()
-        if depth:
-            idx = self.stack[-1][0]
-            start, parent, top = idx + 1, self._buf(depth - 1), self.pool[idx]
-        out = self._buf(depth)
-        # the table of what the buffer held is stale
-        self._tabs[depth] = None
-        return list_extensions(
-            self.cnt, self.mult, self.cfg.max_multiplicity, self.cfg.n,
-            self.pool_a, self.pool_b, self.pool_c, start, parent, out, *top,
-        )
-
-    def _table(self) -> tuple[list[int], list[int], dict[int, int], int]:
-        """The private-edge table of the stack's depth's extension list,
-        built once per listing in one pass down the listed entries.
-
-        For each listed index, u_after and d_after hold the uncovered
-        edges on the listed triangles after it and their entries of 2.
-        last maps each uncovered edge on a listed triangle to the last
-        listed index that carries it, and twos counts all entries of 2.
-        """
-        depth = len(self.stack)
-        tab = self._tabs[depth]
-        if tab is None:
-            n, cnt, pool, buf = self.cfg.n, self.cnt, self.pool, self._bufs[depth]
-            start = self.stack[-1][0] + 1 if self.stack else 0
-            u_after, d_after = [0] * self.total, [0] * self.total
-            last: dict[int, int] = {}
-            twos = 0
-            listed = itertools.compress(range(start, self.total), buf[start:])
-            for idx in reversed(list(listed)):
-                u_after[idx], d_after[idx] = len(last), twos
-                a, b, c = pool[idx]
-                row_a = cnt[a]
-                if not row_a[b] and (e := a * n + b) not in last:
-                    last[e] = idx
-                if not row_a[c] and (e := a * n + c) not in last:
-                    last[e] = idx
-                if not cnt[b][c] and (e := b * n + c) not in last:
-                    last[e] = idx
-                if buf[idx] == 2:
-                    twos += 1
-            tab = self._tabs[depth] = (u_after, d_after, last, twos)
-        return tab
-
-    def _private_bound(self) -> int:
-        """The private-edge bound of the family on the stack: at most
-        what its subtree can add, read from its depth's extension list
-        (see the module docstring)."""
-        _, _, last, twos = self._table()
-        return _edge_bound(len(last), twos)
-
-    def _child_bound(self, idx: int) -> int:
-        """The private-edge bound of the child that adds pool triangle idx
-        to the family on the stack, read from the stack's own list before
-        the child's is made: at least the child's _private_bound() once
-        it is listed (see the module docstring)."""
-        u_after, d_after, last, _ = self._table()
-        a, b, c = self.pool[idx]
-        n = self.cfg.n
-        # the child covers its own edges, so those counted after it leave U
-        u = u_after[idx]
-        for e in (a * n + b, a * n + c, b * n + c):
-            u -= last.get(e, idx) > idx
-        return _edge_bound(u, d_after[idx])
 
     def _cut(
         self, size: int, capacity: int, bound: Callable[[], int] | None = None
@@ -431,41 +424,37 @@ class _Searcher:
             return "private"
         return None
 
-    def _process(self, replay: tuple[tuple[Triangle, int], ...], capacity: int) -> None:
-        """Count and record the node on the stack, then try its children.
+    def _process(self, replay: tuple[tuple[Triangle, int], ...], node: _Node) -> None:
+        """Count and record the family on the stack, whose node is node,
+        then try its children, each listed into a _Node of its own.
 
         Every cut is _cut's against need, read for every child because
         need rises as the DFS records larger families.  The children's
         summed capacity from the current one on ends the loop.  Before a
         child (t, m) is listed, its size plus the capacity after t drops
-        it, and then the private-edge bound read from this node's table
-        (_child_bound): the uncovered edges on the listed triangles after
-        t, less t's own, and the entries of 2 there.  Once listed, its own
-        capacity, then the private-edge bound of its list, drop it before
-        its labeling DFS.  The table is built only when a child's size is
-        below need, as no bound can drop it otherwise.  While replay, a
-        checkpoint's prefix below this node, is nonempty, the node is not
-        counted or recorded and only its forced child is tried, uncut;
-        replay is emptied once that child returns.
+        it, and then the private-edge bound read from node's table
+        (node.child_bound): the uncovered edges on the listed triangles
+        after t, less t's own, and the entries of 2 there.  Once listed,
+        its own capacity, then the private-edge bound of its list, drop it
+        before its labeling DFS.  A table is built only when a child's
+        size is below need, as no bound can drop it otherwise.  While
+        replay, a checkpoint's prefix below this node, is nonempty, the
+        node is not counted or recorded and only its forced child is
+        tried, uncut; replay is emptied once that child returns.
 
         A child (t, m) is P + (t, m) for this node's family P, so an
         automorphism of P that maps t's vertex set onto itself, extended
         by the identity on the child's fresh vertices, is one of the
         child: the child's walk is seeded with those, and on an accept
-        leaves its own at the next depth.
+        leaves its own in the child's gens.
         """
-        depth = len(self.stack)
         if not replay:
             self._count_node()
             self._record()
-        start = self.stack[-1][0] + 1 if self.stack else 0
-        buf = self._buf(depth)
-        gens = self._gens[depth]
-        # the support is 0..sup-1, so sup is the next fresh label
-        sup = max((self.pool[idx][2] for idx, _ in self.stack), default=-1) + 1
+        buf, sup = node.buf, node.sup
         # rest is the capacity of buf[idx:], and bounds every later child
-        rest = capacity
-        for idx in range(start, self.total):
+        rest = node.capacity
+        for idx in range(node.start, self.total):
             mm = buf[idx]
             if mm == 0:
                 continue
@@ -490,22 +479,22 @@ class _Searcher:
                         )
                     # forced branch: descend without recounting ancestors
                     self._push(idx, m)
-                    self._process(replay[1:], self._list())
+                    self._process(replay[1:], _Node(self, node, idx))
                     self._pop()
                     replay = ()
                     continue
-                if self._cut(self.size + m, rest, lambda: self._child_bound(idx)):
+                if self._cut(self.size + m, rest, lambda: node.child_bound(idx)):
                     continue
                 self._push(idx, m)
-                cap = self._list()
-                if self._cut(self.size, cap, self._private_bound) is None:
+                child = _Node(self, node, idx)
+                if self._cut(self.size, child.capacity, child.private_bound) is None:
                     # the automorphisms of this node that fix t setwise,
                     # extended by the identity on t's fresh vertices
                     t = {a, b, c}
-                    fresh = list(range(sup, c + 1))
-                    seed = [g + fresh for g in gens if {g[v] for v in t if v < sup} <= t]
-                    if is_min_labeled(self._rows(), self.cfg.n, seed, self._gens[depth + 1]):
-                        self._process((), cap)
+                    fresh = list(range(sup, child.sup))
+                    seed = [g + fresh for g in node.gens if {g[v] for v in t if v < sup} <= t]
+                    if is_min_labeled(self._rows(), self.cfg.n, seed, child.gens):
+                        self._process((), child)
                 self._pop()
         if replay:
             raise SearchError("checkpoint prefix is not a valid extension path")

@@ -293,10 +293,12 @@ def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
     proc = _run_capped(["check", path])
     assert (proc.returncode, proc.stdout) == (OK, "rainbow-free\n"), proc.stderr
 
-    # the scan's state grows with the members even when all 300,000
-    # vertices are in the support: 100,000 disjoint triangles, where a
-    # count matrix would take 670 GiB and bitmasks on absolute vertex
-    # positions 3.5 GiB
+    # all 300,000 vertices in the support: 100,000 disjoint triangles,
+    # where a count matrix would take 670 GiB and bitmasks on absolute
+    # vertex positions 3.5 GiB.  The scan's dicts grow with the members;
+    # its bitmasks span from each vertex to its highest neighbour, which
+    # is close here, but a random relabeling spreads them to about
+    # s^2/16 bytes for s support vertices and runs out of memory
     disjoint = tmp_path / "disjoint.trifam"
     disjoint.write_text(
         "trifam 1\nmode set\nn 300000\n"
@@ -309,6 +311,18 @@ def test_large_n_within_memory_cap(tmp_path, capsys, monkeypatch):
     proc = _run_capped(["certify", str(disjoint)])
     assert proc.returncode == LIMIT, proc.stderr
     assert "graph has 300000 vertices, exact solver limit is 64" in proc.stderr
+    # rs on the same triangles doubled: the doubled layer's union graph
+    # keeps only its 300,000 edges, so no structure spans all n vertices
+    doubled = tmp_path / "doubled.trifam"
+    doubled.write_text(
+        "trifam 1\nmode multiset\nn 300000\n"
+        + "".join(f"{v} {v + 1} {v + 2} x2\n" for v in range(0, 300_000, 3))
+    )
+    proc = _run_capped(["rs", str(doubled), "--porcelain"])
+    assert proc.returncode == OK, proc.stderr
+    out = proc.stdout.splitlines()
+    assert "g2-edges=300000" in out
+    assert "t2-constraints=true" in out and "unique-triangle=true" in out
 
     # running out of memory anyway still exits 3, with a message
     def no_memory(f):

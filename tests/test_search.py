@@ -230,6 +230,17 @@ def _bound_families(mode, seed, samples):
     return families
 
 
+def _listed_node(f):
+    """A searcher with f's members on its stack and the node listing them."""
+    s = search_module._Searcher(SearchConfig(f.n, f.mode))
+    node = search_module._Node(s)
+    for t, m in sorted(f.members):
+        idx = s.pool.index(t)
+        s._push(idx, m)
+        node = search_module._Node(s, node, idx)
+    return s, node
+
+
 @pytest.mark.parametrize("mode", [SET, MULTISET])
 def test_private_bound_covers_every_addition(mode):
     # the bound must cover every rainbow-free addition from the triangles
@@ -237,17 +248,14 @@ def test_private_bound_covers_every_addition(mode):
     # capacity
     below_capacity = 0
     for f in _bound_families(mode, 21, 60):
-        s = search_module._Searcher(SearchConfig(f.n, mode))
-        cap = s._list()
-        for t, m in sorted(f.members):
-            s._push(s.pool.index(t), m)
-            cap = s._list()
-        bound = s._private_bound()
-        listed = s._bufs[len(s.stack)]
+        s, node = _listed_node(f)
+        bound = node.private_bound()
+        listed = node.buf
         start = s.stack[-1][0] + 1 if s.stack else 0
+        assert node.start == start
         later = [(s.pool[i], listed[i]) for i in range(start, s.total) if listed[i]]
         assert bound >= _largest_addition(f, later), f.members
-        below_capacity += bound < cap
+        below_capacity += bound < node.capacity
     assert below_capacity >= 10
 
 
@@ -258,19 +266,13 @@ def test_child_bound_covers_the_listed_bound(mode):
     # before listing is one its own list would drop too
     children = below = 0
     for f in _bound_families(mode, 25, 200):
-        s = search_module._Searcher(SearchConfig(f.n, mode))
-        s._list()
-        for t, m in sorted(f.members):
-            s._push(s.pool.index(t), m)
-            s._list()
-        buf = s._bufs[len(s.stack)]
-        start = s.stack[-1][0] + 1 if s.stack else 0
-        for idx in range(start, s.total):
+        s, node = _listed_node(f)
+        buf = node.buf
+        for idx in range(node.start, s.total):
             for m in range(1, buf[idx] + 1):
-                before = s._child_bound(idx)
+                before = node.child_bound(idx)
                 s._push(idx, m)
-                s._list()
-                after = s._private_bound()
+                after = search_module._Node(s, node, idx).private_bound()
                 s._pop()
                 assert before >= after, (f.members, s.pool[idx], m)
                 children += 1
@@ -298,22 +300,35 @@ def test_child_bound_cuts_listings_only(monkeypatch):
 
     for name in ("list_extensions", "is_min_labeled"):
         monkeypatch.setattr(search_module, name, spy(name))
-    for run, nodes, want in (
-        (lambda: enumerate_extremal(12), 196, (681, 357)),
-        (lambda: max_family(11), 106, (323, 181)),
-        (lambda: prove_size(9, 12, mode=MULTISET), 46, (226, 83)),
+    # a node's private-edge table is built on its first read, and once:
+    # a table built eagerly or twice raises the count
+    table = search_module._Node.table
+    real_table = table.func
+
+    def build(node):
+        calls["table"] += 1
+        return real_table(node)
+
+    monkeypatch.setattr(table, "func", build)
+    for run, nodes, want, tables in (
+        (lambda: enumerate_extremal(12), 196, (681, 357), 584),
+        (lambda: max_family(11), 106, (323, 181), 258),
+        (lambda: enumerate_extremal(10, mode=MULTISET), 253, (1734, 648), 898),
+        (lambda: prove_size(9, 12, mode=MULTISET), 46, (226, 83), 107),
     ):
         calls.clear()
         assert run().nodes_explored == nodes
         assert (calls["list_extensions"], calls["is_min_labeled"]) == want
         assert calls["is_min_labeled", "accepts"] == nodes - 1
+        assert calls["table"] == tables
 
 
 def test_listings_read_the_kept_state_at_the_traced_positions(tmp_path, monkeypatch):
     # perfbench/tracing.py reads list_extensions' pool column, start and
-    # output buffer as args 4, 7 and 9; and the mult the search keeps in
-    # _push and _pop holds exactly the members on its stack at every
-    # listing, and nothing once run() returns
+    # output buffer as args 4, 7 and 9, the buffer being the listed node's
+    # own; and the mult the search keeps in _push and _pop holds exactly
+    # the members on its stack at every listing, and nothing once run()
+    # returns
     live, calls = [], []
     real_run, real_list = search_module._Searcher.run, search_module.list_extensions
 
@@ -331,12 +346,20 @@ def test_listings_read_the_kept_state_at_the_traced_positions(tmp_path, monkeypa
         assert args[4] is s.pool_a and args[4].shape == (s.total,)
         assert args[7] == (s.stack[-1][0] + 1 if s.stack else 0)
         out = args[9]
-        assert out is s._bufs[len(s.stack)] and len(out) == s.total
-        calls.append(1)
+        assert len(out) == s.total
+        calls.append(out)
         return real_list(*args)
+
+    real_init = search_module._Node.__init__
+
+    def init(node, s, *args):
+        real_init(node, s, *args)
+        # the buffer the listing wrote is the new node's own
+        assert s is live[-1] and node.buf is calls[-1]
 
     monkeypatch.setattr(search_module._Searcher, "run", run)
     monkeypatch.setattr(search_module, "list_extensions", spy)
+    monkeypatch.setattr(search_module._Node, "__init__", init)
     ck = str(tmp_path / "leg.ckpt")
     runs = [
         lambda n=n, mode=mode: enumerate_extremal(n, mode)
